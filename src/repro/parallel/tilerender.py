@@ -29,14 +29,15 @@ Jobs are **batched per worker** (one submit per worker carrying its
 tile list) instead of dispatched per tile: a batch amortizes dispatch
 and lets the worker hoist the brush-footprint coverage cache across its
 whole tile list — the dominant per-tile cost on brushed frames is
-rasterizing the same (cell size, color) footprint over and over, and a
-batch pays it once.  Batch size is informed by the
+rasterizing the same (cell pixel grid, color) footprint over and over,
+and a batch pays it once.  Batch size is informed by the
 ``render.frame.stage_seconds{stage}`` / ``render.tile.seconds``
 telemetry: when per-tile history says a one-batch-per-worker deal would
 outlive the supervisor's attempt timeout, batches are split further so
 a healthy batch is never mistaken for a hang.
 
-``max_workers<=1`` runs serially in-process and is bit-identical to
+``max_workers<=1`` runs serially in-process with one footprint cache
+for the whole frame, and is bit-identical to
 :meth:`WallRenderer.render_viewport`.
 
 The pooled path runs under a :class:`repro.resilience.SupervisedPool`:
@@ -70,7 +71,7 @@ from repro.layout.cells import CellAssignment
 from repro.parallel.pool import round_robin_batches
 from repro.render.framebuffer import Framebuffer
 from repro.render.pipeline import RenderJob, WallRenderer
-from repro.render.raster import CellStyle
+from repro.render.raster import CellStyle, FootprintCache
 from repro.resilience.faults import FaultPlan
 from repro.resilience.health import DegradationReport
 from repro.resilience.retry import DEFAULT_POLICY, RetryPolicy
@@ -169,12 +170,12 @@ def _render_batch(batch: TileBatch) -> list[_JobResult]:
     telemetry registry directly).
 
     The footprint cache is hoisted across the batch: coverage depends
-    only on (cell pixel size, color) within one frame, so the batch
+    only on (cell pixel grid, color) within one frame, so the batch
     pays each footprint rasterization once instead of once per job.
     """
     renderer: WallRenderer = _WORKER_STATE["renderer"]
     fb_client = _WORKER_STATE.get("fb")
-    footprint_cache: dict[tuple[int, int, str], np.ndarray] = {}
+    footprint_cache: FootprintCache = {}
     out: list[_JobResult] = []
     for job in batch.jobs:
         t0 = time.perf_counter()
@@ -326,9 +327,14 @@ def render_viewport_parallel(
     n_batches = 0
     use_shared_fb = False
     if max_workers <= 1:
+        # one footprint cache for the whole frame, as each pooled batch
+        # has: serial and pooled differ only in parallelism
+        frame_cache: FootprintCache = {}
         for job in jobs:
             t_tile = time.perf_counter()
-            fb = renderer.render_job(job, canvas=canvas, results=results)
+            fb = renderer.render_job(
+                job, canvas=canvas, results=results, footprint_cache=frame_cache
+            )
             obs.observe("render.tile.seconds", time.perf_counter() - t_tile)
             frames[job.eye][(job.tile.col, job.tile.row)] = fb
         workers = 1
@@ -360,7 +366,7 @@ def render_viewport_parallel(
             pixels through the return value even under a shared
             framebuffer — the parent must not write slots while other
             batches may still be in flight."""
-            cache: dict[tuple[int, int, str], np.ndarray] = {}
+            cache: FootprintCache = {}
             out: list[_JobResult] = []
             for job in batch.jobs:
                 t_job = time.perf_counter()

@@ -9,9 +9,11 @@ background colors, brush-highlight overlays, and stereo-pair/anaglyph
 composition.
 
 Rendering uses arc-length point splatting with bilinear coverage:
-polylines are resampled at sub-pixel spacing and accumulated into the
-framebuffer with ``np.add.at`` — one vectorized pass over all segments
-of all cells on a tile, no per-segment Python loop (HPC-guide idiom).
+each polyline is resampled at sub-pixel spacing and its whole disc
+stamp is accumulated with one ``np.bincount`` per accumulator — no
+per-segment or per-tap Python loop.  Layers are alpha-composited only
+where their coverage is non-zero.  Both kernels reproduce the pixels
+of their straightforward forms bit for bit.
 """
 
 from repro.render.color import Color, HIGHLIGHT_COLORS, named_color, time_gradient

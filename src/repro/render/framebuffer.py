@@ -1,10 +1,11 @@
 """Framebuffers.
 
 A :class:`Framebuffer` is an (H, W, 3) float32 RGB image with the
-blending operations the renderer needs: rect fills, additive /
-alpha-composited splat accumulation, and circle outlines.  Buffers are
-preallocated once per tile per eye and reused across frames (guide
-idiom: allocate outside the loop, write in place).
+blending operations the renderer needs: rect fills and circle
+outlines, plus :func:`composite`, the one alpha-compositing kernel
+every layer (trajectory, highlight, brush footprint, arena rim) goes
+through.  Buffers are preallocated once per tile per eye and reused
+across frames (guide idiom: allocate outside the loop, write in place).
 """
 
 from __future__ import annotations
@@ -13,7 +14,48 @@ import numpy as np
 
 from repro.render.color import Color
 
-__all__ = ["Framebuffer"]
+__all__ = ["Framebuffer", "composite"]
+
+
+def composite(
+    region: np.ndarray, coverage: np.ndarray, color: Color | np.ndarray
+) -> None:
+    """Alpha-composite a coverage map onto a framebuffer view, in place.
+
+    ``out = (1 - a) * out + a * color`` with ``a`` the coverage clipped
+    to [0, 1] in float32.  ``region`` is an (H, W, 3) float32 view,
+    ``coverage`` is (H, W) and ``color`` is one RGB triple or an
+    (H, W, 3) per-pixel color.
+
+    Only pixels with non-zero coverage are blended: the map is cropped
+    to the bounding box of its support, and inside it only the support
+    pixels are gathered, blended and scattered back.  Elsewhere
+    ``a == 0`` and the blend ``out * 1 + 0 * color`` returns ``out``
+    bit for bit (for finite colors and non-negative pixels), so
+    skipping them leaves the same bytes as blending the whole map.
+    """
+    if coverage.shape != region.shape[:2]:
+        raise ValueError(
+            f"coverage shape {coverage.shape} != region {region.shape[:2]}"
+        )
+    c = np.asarray(color, dtype=np.float32)
+    if c.shape not in ((3,), region.shape):
+        raise ValueError(f"color shape {c.shape} fits neither (3,) nor {region.shape}")
+    support = coverage > 0
+    rows = np.flatnonzero(support.any(axis=1))
+    if len(rows) == 0:
+        return
+    cols = np.flatnonzero(support.any(axis=0))
+    box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    region = region[box]
+    ys, xs = np.nonzero(support[box])
+    a = np.clip(coverage[box][ys, xs], 0.0, 1.0).astype(np.float32)[:, None]
+    if c.ndim == 3:
+        c = c[box][ys, xs]
+    px = region[ys, xs]
+    px *= 1.0 - a
+    px += a * c
+    region[ys, xs] = px
 
 
 class Framebuffer:
@@ -68,42 +110,14 @@ class Framebuffer:
         if x1 > x0 and y1 > y0:
             self.data[y0:y1, x0:x1] = np.asarray(color, dtype=np.float32)
 
-    def composite_coverage(self, coverage: np.ndarray, color: Color) -> None:
-        """Alpha-composite a coverage map (H, W) in [0, 1] of one color.
-
-        ``out = (1 - a) * out + a * color`` with a = clipped coverage.
-        In-place; no temporaries beyond the broadcast products.
-        """
-        if coverage.shape != (self.height, self.width):
-            raise ValueError(
-                f"coverage shape {coverage.shape} != buffer {self.height, self.width}"
-            )
-        a = np.clip(coverage, 0.0, 1.0).astype(np.float32)[..., None]
-        c = np.asarray(color, dtype=np.float32)
-        self.data *= 1.0 - a
-        self.data += a * c
-
-    def composite_rgb(self, coverage: np.ndarray, rgb: np.ndarray) -> None:
-        """Alpha-composite a per-pixel colored layer.
-
-        ``coverage`` is (H, W) in [0, 1]; ``rgb`` is (H, W, 3) premult-
-        free color (already averaged per pixel).
-        """
-        if coverage.shape != (self.height, self.width):
-            raise ValueError("coverage shape mismatch")
-        if rgb.shape != (self.height, self.width, 3):
-            raise ValueError("rgb shape mismatch")
-        a = np.clip(coverage, 0.0, 1.0).astype(np.float32)[..., None]
-        self.data *= 1.0 - a
-        self.data += a * rgb.astype(np.float32)
-
     def draw_circle_outline(
         self, cx: float, cy: float, radius: float, color: Color, thickness: float = 1.0
     ) -> None:
         """Anti-aliased circle outline (the arena rim in each cell).
 
-        Computed over the circle's bounding box only, with coverage
-        falling off linearly over one pixel around the ring.
+        Coverage is computed over the circle's bounding box, falling
+        off linearly over one pixel around the ring; only the ring
+        pixels are blended.
         """
         if radius <= 0:
             return
@@ -117,11 +131,7 @@ class Framebuffer:
         ys, xs = np.mgrid[y0:y1, x0:x1]
         d = np.abs(np.hypot(xs - cx, ys - cy) - radius)
         cov = np.clip(1.0 + thickness / 2.0 - d, 0.0, 1.0)
-        a = cov.astype(np.float32)[..., None]
-        c = np.asarray(color, dtype=np.float32)
-        region = self.data[y0:y1, x0:x1]
-        region *= 1.0 - a
-        region += a * c
+        composite(self.data[y0:y1, x0:x1], cov, color)
 
     def to_uint8(self) -> np.ndarray:
         """uint8 copy for image output."""

@@ -4,10 +4,12 @@ Rendering hundreds of trajectory cells means rasterizing hundreds of
 thousands of short segments per frame.  A per-segment scanline loop in
 Python is hopeless; instead we *splat*: every polyline is resampled
 along its arc length at sub-pixel spacing, and the resulting point
-cloud is accumulated into a coverage map with bilinear weights via
-``np.add.at`` — a single unsorted scatter-add over flat arrays.  Line
+cloud is accumulated into a coverage map with bilinear weights.  Line
 width is achieved by stamping a small disc kernel of offsets around
-each sample (a tiny constant-size loop, vectorized over all points).
+each sample.  Every (tap, corner, point) contribution of a polyline
+goes through one ``np.bincount`` per accumulator, in the order a
+per-tap, per-corner scatter loop would add them, so the sums are the
+loop's sums bit for bit (the loop itself is kept as a test oracle).
 
 This trades exact analytic anti-aliasing for an approximation that is
 visually equivalent at sub-pixel step sizes, and it turns the frame
@@ -76,10 +78,24 @@ def splat_points(
     points: np.ndarray,
     *,
     weights: np.ndarray | float = 1.0,
+    offsets: np.ndarray | None = None,
     rgb_accum: np.ndarray | None = None,
     colors: np.ndarray | None = None,
 ) -> None:
-    """Accumulate points into a coverage map with bilinear weights.
+    """Accumulate a stamped point cloud into a coverage map.
+
+    Every point is stamped at each of the (T, 2) ``offsets`` taps (a
+    single unshifted tap when omitted) and each stamped point spreads
+    its weight over its four neighbouring pixels with bilinear weights.
+    All T x 4 x P contributions go through one ``np.bincount`` per
+    accumulator, flattened in tap -> corner -> point order.
+    ``bincount`` adds its weights sequentially in input order, so each
+    pixel receives the same float additions, in the same order, as a
+    scatter loop over taps, then corners, then points; off-canvas
+    contributions land in a discarded padding ring.  Every pixel's
+    contributions are summed first and then added to ``coverage``, so
+    accumulators that start at zero (as the renderer's do) receive
+    exactly the loop's sums.
 
     Parameters
     ----------
@@ -88,7 +104,10 @@ def splat_points(
     points:
         (P, 2) pixel coordinates (x, y).
     weights:
-        Scalar or (P,) per-point weight.
+        Per-contribution weight, broadcast against (T, P): a scalar,
+        a (P,) per-point weight or a (T, 1) per-tap weight.
+    offsets:
+        Optional (T, 2) stamp of pixel offsets applied to every point.
     rgb_accum, colors:
         Optional (H, W, 3) color accumulator and (P, 3) per-point
         colors; enables per-pixel color averaging
@@ -98,30 +117,55 @@ def splat_points(
     points = np.asarray(points, dtype=np.float64)
     if len(points) == 0:
         return
-    wts = np.broadcast_to(np.asarray(weights, dtype=np.float64), (len(points),))
+    # (T, P) stamped coordinates, one row per tap; fresh arrays, as the
+    # fractions are computed in place
+    if offsets is None:
+        x = points[None, :, 0].copy()
+        y = points[None, :, 1].copy()
+    else:
+        offsets = np.asarray(offsets, dtype=np.float64)
+        x = points[None, :, 0] + offsets[:, 0, None]
+        y = points[None, :, 1] + offsets[:, 1, None]
+    wts = np.broadcast_to(np.asarray(weights, dtype=np.float64), x.shape)
 
-    x = points[:, 0]
-    y = points[:, 1]
-    x0 = np.floor(x).astype(np.int64)
-    y0 = np.floor(y).astype(np.int64)
-    fx = x - x0
-    fy = y - y0
-
-    for dx, dy, bw in (
-        (0, 0, (1 - fx) * (1 - fy)),
-        (1, 0, fx * (1 - fy)),
-        (0, 1, (1 - fx) * fy),
-        (1, 1, fx * fy),
+    gx = np.floor(x)
+    gy = np.floor(y)
+    x0 = gx.astype(np.int64)
+    y0 = gy.astype(np.int64)
+    fx = np.subtract(x, gx, out=x)
+    fy = np.subtract(y, gy, out=y)
+    gx = np.subtract(1, fx, out=gx)
+    gy = np.subtract(1, fy, out=gy)
+    # Scatter into a grid padded by two pixels per side: clamping the
+    # corner origin to [-2, size] leaves every on-canvas corner where it
+    # is and parks every off-canvas one in the padding, which is cut off.
+    pw = w + 4
+    base = np.clip(y0, -2, h, out=y0)
+    base += 2
+    base *= pw
+    base += np.clip(x0, -2, w, out=x0)
+    base += 2
+    contrib = np.empty((len(x), 4, x.shape[1]))
+    flat = np.empty(contrib.shape, dtype=np.int64)
+    # corners in order (0,0), (1,0), (0,1), (1,1)
+    for k, (wx, wy, step) in enumerate(
+        ((gx, gy, 0), (fx, gy, 1), (gx, fy, pw), (fx, fy, pw + 1))
     ):
-        xi = x0 + dx
-        yi = y0 + dy
-        ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        if not ok.any():
-            continue
-        contrib = bw[ok] * wts[ok]
-        np.add.at(coverage, (yi[ok], xi[ok]), contrib)
-        if rgb_accum is not None and colors is not None:
-            np.add.at(rgb_accum, (yi[ok], xi[ok]), contrib[:, None] * colors[ok])
+        np.multiply(wx, wy, out=contrib[:, k])
+        contrib[:, k] *= wts
+        np.add(base, step, out=flat[:, k])
+    flat = flat.ravel()
+
+    def scatter(values: np.ndarray) -> np.ndarray:
+        grid = np.bincount(flat, values.ravel(), minlength=(h + 4) * pw)
+        return grid.reshape(h + 4, pw)[2 : h + 2, 2 : w + 2]
+
+    coverage += scatter(contrib)
+    if rgb_accum is not None and colors is not None:
+        colors = np.asarray(colors, dtype=np.float64)
+        channel = np.empty_like(contrib)
+        for c in range(3):
+            rgb_accum[..., c] += scatter(np.multiply(contrib, colors[:, c], out=channel))
 
 
 def splat_polylines(
@@ -144,6 +188,7 @@ def splat_polylines(
     The per-sample weight is normalized by the samples-per-pixel
     density (step) and kernel mass so accumulated coverage saturates
     near 1.0 on the line body independent of ``step`` and ``width``.
+    The whole disc stamp goes through one :func:`splat_points` pass.
     """
     points, vals = resample_segments(a, b, step, seg_values)
     if len(points) == 0:
@@ -155,12 +200,11 @@ def splat_polylines(
     colors = None
     if vals is not None and value_to_rgb is not None and rgb_accum is not None:
         colors = np.asarray(value_to_rgb(vals), dtype=np.float64)
-    for (dx, dy), kw in zip(offsets, kweights):
-        shifted = points + (dx, dy)
-        splat_points(
-            coverage,
-            shifted,
-            weights=kw * norm,
-            rgb_accum=rgb_accum if colors is not None else None,
-            colors=colors,
-        )
+    splat_points(
+        coverage,
+        points,
+        weights=(kweights * norm)[:, None],
+        offsets=offsets,
+        rgb_accum=rgb_accum if colors is not None else None,
+        colors=colors,
+    )

@@ -24,7 +24,7 @@ from repro.display.tile import Tile
 from repro.display.viewport import Viewport
 from repro.layout.cells import CellAssignment
 from repro.render.framebuffer import Framebuffer
-from repro.render.raster import CellRenderer, CellStyle
+from repro.render.raster import CellRenderer, CellStyle, FootprintCache
 from repro.stereo.camera import Eye
 from repro.stereo.projection import SpaceTimeProjection
 from repro.synth.arena import Arena
@@ -122,25 +122,26 @@ class WallRenderer:
         *,
         canvas: BrushCanvas | None = None,
         results: dict[str, QueryResult] | None = None,
-        footprint_cache: dict[tuple[int, int, str], np.ndarray] | None = None,
+        footprint_cache: FootprintCache | None = None,
     ) -> Framebuffer:
         """Rasterize one tile/eye job into a fresh framebuffer.
 
-        ``footprint_cache`` may be shared across the jobs of one frame:
-        brush-footprint coverage depends only on the cell's pixel size
-        and the stroke set of a color, both constant within a frame, so
-        a batch worker passes one dict for its whole job list and pays
-        the footprint rasterization once per (size, color) instead of
-        once per job.  Never reuse a cache across canvas changes.
+        Within a tile, every cell draws the brush footprint of the
+        first cell of its pixel size (sub-pixel offsets between cells
+        are ignored).  ``footprint_cache`` may be shared across the jobs
+        of one frame: it holds those first-cell maps keyed by the exact
+        arena grid of the cell they were computed for and the color, so
+        a job served from the cache draws the bytes it would have
+        computed itself, and a frame pays each distinct map once.  The
+        stroke set of a color is constant within a frame; never reuse
+        a cache across canvas changes.
         """
         tile = job.tile
         fb = Framebuffer(tile.px_width, tile.px_height, self.style.background)
         renderer = CellRenderer(tile, self.projection, self.style)
         packed = self.dataset.packed() if results else None
-        # brush-footprint coverage is identical across same-sized cells;
-        # cache it per (cell pixel size, color)
-        if footprint_cache is None:
-            footprint_cache = {}
+        # footprint per (cell pixel size, color) on this tile
+        tile_footprints: dict[tuple[int, int, str], np.ndarray] = {}
         labels = job.cell_labels or ("",) * len(job.cell_rects)
         for rect, traj_idx, color, label in zip(
             job.cell_rects, job.cell_traj, job.cell_colors, labels
@@ -170,10 +171,11 @@ class WallRenderer:
                     key = (x1 - x0, y1 - y0, color_name)
                     cov = renderer.draw_brush_footprint(
                         fb, mapper, centers, radii, color_name, rect_t,
-                        precomputed=footprint_cache.get(key),
+                        precomputed=tile_footprints.get(key),
+                        cache=footprint_cache,
                     )
-                    if cov is not None and key not in footprint_cache:
-                        footprint_cache[key] = cov
+                    if cov is not None:
+                        tile_footprints.setdefault(key, cov)
             if results:
                 for color_name, res in results.items():
                     rows = packed.rows_of(int(traj_idx))
@@ -194,11 +196,17 @@ class WallRenderer:
     ) -> dict[Eye, dict[tuple[int, int], Framebuffer]]:
         """Render every tile serially; returns {eye: {(col,row): fb}}.
 
+        One footprint cache serves the whole frame, as it serves each
+        worker's batch on the pooled path.
+
         The process-parallel equivalent lives in
         :func:`repro.parallel.tilerender.render_viewport_parallel`.
         """
         out: dict[Eye, dict[tuple[int, int], Framebuffer]] = {eye: {} for eye in eyes}
+        footprint_cache: FootprintCache = {}
         for job in self.make_jobs(assignment, eyes):
-            fb = self.render_job(job, canvas=canvas, results=results)
+            fb = self.render_job(
+                job, canvas=canvas, results=results, footprint_cache=footprint_cache
+            )
             out[job.eye][(job.tile.col, job.tile.row)] = fb
         return out

@@ -22,13 +22,18 @@ import numpy as np
 from repro.display.coords import CoordinateMapper
 from repro.display.tile import Tile
 from repro.render.color import Color, named_color, time_gradient
-from repro.render.framebuffer import Framebuffer
+from repro.render.framebuffer import Framebuffer, composite
 from repro.render.lines import splat_polylines
 from repro.stereo.camera import Eye
 from repro.stereo.projection import SpaceTimeProjection
 from repro.trajectory.model import Trajectory
 
-__all__ = ["CellStyle", "CellRenderer"]
+__all__ = ["CellStyle", "CellRenderer", "FootprintCache"]
+
+#: Brush-footprint coverage maps keyed by the exact inputs they are a
+#: pure function of: (arena x of the pixel-centre columns, arena y of
+#: the rows, soft-edge width, brush color), the grids as raw bytes.
+FootprintCache = dict[tuple[bytes, bytes, float, str], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -78,15 +83,6 @@ class CellRenderer:
     def _dim(self, color: Color) -> Color:
         k = self.style.background_dim
         return (color[0] * k, color[1] * k, color[2] * k)
-
-    @staticmethod
-    def _composite_local(
-        region: np.ndarray, coverage: np.ndarray, color: Color | np.ndarray
-    ) -> None:
-        """Alpha-composite a local coverage map onto a framebuffer view."""
-        a = np.clip(coverage, 0.0, 1.0).astype(np.float32)[..., None]
-        region *= 1.0 - a
-        region += a * np.asarray(color, dtype=np.float32)
 
     # Drawing ------------------------------------------------------------------
     def draw_background(
@@ -145,7 +141,7 @@ class CellRenderer:
         hit = coverage > 1e-9
         mean_rgb = np.zeros_like(rgb)
         mean_rgb[hit] = rgb[hit] / coverage[hit][:, None]
-        self._composite_local(
+        composite(
             fb.data[y0:y1, x0:x1], np.minimum(coverage, 1.0), mean_rgb.astype(np.float32)
         )
 
@@ -179,9 +175,28 @@ class CellRenderer:
         splat_polylines(
             coverage, a, b, width=self.style.highlight_width, step=self.style.step_px
         )
-        self._composite_local(
+        composite(
             fb.data[y0:y1, x0:x1], np.minimum(coverage, 1.0), named_color(color_name)
         )
+
+    def _footprint_grid(
+        self, mapper: CoordinateMapper, cell_rect: tuple[float, float, float, float]
+    ) -> tuple[np.ndarray, np.ndarray, float, tuple[int, int, int, int]]:
+        """Arena coordinates of the cell's pixel-centre columns and rows,
+        the one-pixel soft-edge width in arena meters, and the clipped
+        pixel rect.  The footprint coverage is a pure function of the
+        two grids, the soft width and the stamps."""
+        x0, y0, x1, y1 = self._cell_px_rect(cell_rect)
+        xs = np.arange(x0, x1, dtype=np.float64) + 0.5
+        ys = np.arange(y0, y1, dtype=np.float64) + 0.5
+        # every mapping below is per-axis elementwise, so one padded
+        # (n, 2) pass yields exactly the per-pixel values of a full grid
+        px = np.zeros((max(len(xs), len(ys)), 2))
+        px[: len(xs), 0] = xs
+        px[: len(ys), 1] = ys
+        arena = mapper.wall_to_arena(self.tile.pixel_to_wall(px))
+        soft = 1.0 / (mapper.scale * self.tile.pixels_per_meter[0])  # 1 px in arena m
+        return arena[: len(xs), 0], arena[: len(ys), 1], soft, (x0, y0, x1, y1)
 
     def brush_footprint_coverage(
         self,
@@ -197,37 +212,52 @@ class CellRenderer:
         Computed as a signed distance field on the cell's pixel grid:
         for each pixel, the minimum of (distance-to-stamp - radius)
         over all stamps, converted to coverage with a one-pixel soft
-        edge.  Stamps are processed in chunks to bound the
-        (pixels x stamps) temporary.
-
-        The map depends only on the cell's pixel size (cells share the
-        arena mapping up to translation), so callers cache it per
-        (width, height) — see :meth:`WallRenderer.render_job
-        <repro.render.pipeline.WallRenderer.render_job>`.
+        edge.  The field is evaluated only over the pixels near the
+        stamps' bounding box (the rest is exactly 0), and stamps are
+        processed in chunks to bound the (pixels x stamps) temporary.
         """
-        x0, y0, x1, y1 = self._cell_px_rect(cell_rect)
-        if x1 <= x0 or y1 <= y0:
-            return np.zeros((0, 0)), (x0, y0, x1, y1)
-        # arena coordinates of every pixel center in the cell
-        xs = np.arange(x0, x1, dtype=np.float64) + 0.5
-        ys = np.arange(y0, y1, dtype=np.float64) + 0.5
-        gx, gy = np.meshgrid(xs, ys)
-        px = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        arena_pts = mapper.wall_to_arena(self.tile.pixel_to_wall(px))
+        ax, ay, soft, rect = self._footprint_grid(mapper, cell_rect)
+        return self._footprint(ax, ay, soft, centers_arena, radii_arena, stamp_chunk), rect
+
+    @staticmethod
+    def _footprint(
+        ax: np.ndarray,
+        ay: np.ndarray,
+        soft: float,
+        centers_arena: np.ndarray,
+        radii_arena: np.ndarray,
+        stamp_chunk: int = 64,
+    ) -> np.ndarray:
+        if len(ax) == 0 or len(ay) == 0:
+            return np.zeros((0, 0))
         centers = np.asarray(centers_arena, dtype=np.float64)
         radii = np.asarray(radii_arena, dtype=np.float64)
+        coverage = np.zeros((len(ay), len(ax)))
+        if len(centers) == 0:
+            return coverage
+        # A pixel more than one soft width outside the box of every
+        # stamp has signed distance > soft, so 0.5 - signed / soft clips
+        # to exactly 0: the field is evaluated only inside that box.
+        lo = (centers - radii[:, None] - soft).min(axis=0)
+        hi = (centers + radii[:, None] + soft).max(axis=0)
+        cols = np.flatnonzero((ax >= lo[0]) & (ax <= hi[0]))
+        rows = np.flatnonzero((ay >= lo[1]) & (ay <= hi[1]))
+        if len(cols) == 0 or len(rows) == 0:
+            return coverage
+        box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+        gx, gy = np.meshgrid(ax[box[1]], ay[box[0]])
+        arena_pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
         signed = np.full(len(arena_pts), np.inf)
-        for lo in range(0, len(centers), stamp_chunk):
-            c = centers[lo : lo + stamp_chunk]
-            r = radii[lo : lo + stamp_chunk]
+        for lo_j in range(0, len(centers), stamp_chunk):
+            c = centers[lo_j : lo_j + stamp_chunk]
+            r = radii[lo_j : lo_j + stamp_chunk]
             d = np.sqrt(
                 (arena_pts[:, None, 0] - c[None, :, 0]) ** 2
                 + (arena_pts[:, None, 1] - c[None, :, 1]) ** 2
             )
             np.minimum(signed, (d - r[None, :]).min(axis=1), out=signed)
-        soft = 1.0 / (mapper.scale * self.tile.pixels_per_meter[0])  # 1 px in arena m
-        coverage = np.clip(0.5 - signed / soft, 0.0, 1.0)
-        return coverage.reshape(y1 - y0, x1 - x0), (x0, y0, x1, y1)
+        coverage[box] = np.clip(0.5 - signed / soft, 0.0, 1.0).reshape(gx.shape)
+        return coverage
 
     def draw_brush_footprint(
         self,
@@ -239,11 +269,17 @@ class CellRenderer:
         cell_rect: tuple[float, float, float, float],
         *,
         precomputed: np.ndarray | None = None,
+        cache: FootprintCache | None = None,
     ) -> np.ndarray | None:
         """Translucent discs showing where the brush was painted.
 
-        Returns the coverage map so the pipeline can reuse it for the
-        other cells of the same pixel size (``precomputed``).
+        ``precomputed`` draws the coverage of another cell of the same
+        pixel size instead (see :meth:`WallRenderer.render_job
+        <repro.render.pipeline.WallRenderer.render_job>`).  Otherwise
+        the map is computed for this cell, or taken from ``cache``:
+        entries are keyed by the exact arena coordinates of the cell's
+        pixel grid, so a hit only ever serves a map that would have
+        been computed bit for bit the same.  Returns the coverage map.
         """
         centers_arena = np.asarray(centers_arena, dtype=np.float64)
         if len(centers_arena) == 0:
@@ -258,12 +294,16 @@ class CellRenderer:
                 y1 = min(y1, self.tile.px_height)
                 x1 = min(x1, self.tile.px_width)
         else:
-            coverage, (x0, y0, x1, y1) = self.brush_footprint_coverage(
-                mapper, cell_rect, centers_arena, radii_arena
-            )
+            ax, ay, soft, (x0, y0, x1, y1) = self._footprint_grid(mapper, cell_rect)
+            key = (ax.tobytes(), ay.tobytes(), soft, color_name)
+            coverage = None if cache is None else cache.get(key)
+            if coverage is None:
+                coverage = self._footprint(ax, ay, soft, centers_arena, radii_arena)
+                if cache is not None:
+                    cache[key] = coverage
         if coverage.size == 0:
             return coverage
-        self._composite_local(
+        composite(
             fb.data[y0:y1, x0:x1],
             coverage * self.style.brush_alpha,
             named_color(color_name),

@@ -16,6 +16,8 @@ worker (no blank or partially-written tiles).
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,9 @@ from repro.core.temporal import TimeWindow
 from repro.display.bezel import BezelSpec
 from repro.display.viewport import Viewport
 from repro.display.wall import DisplayWall
-from repro.layout.cells import assign_sequential
+from repro.layout.cells import assign_groups_to_cells, assign_sequential
 from repro.layout.grid import BezelAwareGrid
+from repro.layout.groups import TrajectoryGroups
 from repro.parallel.tilerender import render_viewport_parallel
 from repro.render.pipeline import WallRenderer
 from repro.stereo.camera import Eye
@@ -179,3 +182,90 @@ def test_shared_fb_is_the_pooled_default(study_dataset):
     assert report.shared_fb
     serial = render_viewport_parallel(renderer, assignment, max_workers=0)
     _assert_frames_equal(serial, report, BOTH)
+
+
+# --- pinned golden frame ---------------------------------------------------
+#
+# The wall-size brushed stereo frame of the Q3 render bench (4x2 panels
+# at 256x144 px, an 8x4 small-multiple grid, a 6-stamp 3-color brush)
+# with the Fig. 3 five-zone grouping, so group backgrounds and labels
+# are drawn too.  The render kernels may only get faster, never change
+# a pixel: every (tile, eye) framebuffer is pinned by the sha256 of its
+# float32 bytes, recorded before the splat/composite rewrite, and all
+# three transports must reproduce it exactly.
+
+
+def _golden_frame_inputs(dataset):
+    arena = Arena()
+    viewport = Viewport(
+        _make_wall(cols=4, rows=2, panel_px_width=256, panel_px_height=144)
+    )
+    grid = BezelAwareGrid(viewport, 8, 4)
+    assignment = assign_groups_to_cells(
+        dataset, grid, TrajectoryGroups.fig3_scheme(grid)
+    )
+    canvas = BrushCanvas()
+    colors = ("red", "blue", "green")
+    r = arena.radius
+    for i in range(6):
+        x0 = -r + 0.22 * r * i
+        canvas.add(
+            stroke_from_rect(
+                (x0, -0.6 * r), (x0 + 0.3 * r, 0.5 * r), 0.1 * r, colors[i % 3]
+            )
+        )
+    results = CoordinatedBrushingEngine(dataset).query_all_colors(
+        canvas, assignment=assignment
+    )
+    renderer = WallRenderer(dataset, arena, viewport)
+    return renderer, assignment, canvas, results
+
+
+def _frame_digests(report) -> dict[tuple[int, int, int], str]:
+    return {
+        (col, row, int(eye)): hashlib.sha256(fb.data.tobytes()).hexdigest()
+        for eye, tiles in report.frames.items()
+        for (col, row), fb in tiles.items()
+    }
+
+
+#: sha256 of each (col, row, eye) framebuffer of the golden frame,
+#: recorded with the per-tap ``np.add.at`` splat and full-cell
+#: composite (numpy 2.4, x86-64).
+GOLDEN_FRAME_SHA256 = {
+    (0, 0, -1): "e9ff0c230a6ed32cb918d1681233b9e5af7c8361cd5fcda8a74f4255d1e20536",
+    (0, 0, 1): "e578fb2d5986e2be4a9dd7a65e2933f9f8e24bbce8cf40aa8d68753dafd21c36",
+    (0, 1, -1): "fb71b36967ce00a9a58eb930c6ddffeb01769c2677a36e90ea12b2919e9eb7a7",
+    (0, 1, 1): "f25160a773d80d9a11e0d9d27fa428863ebc09551e1031b6cb3d1665e2e332ef",
+    (1, 0, -1): "3e88603f160e56d0bdc1a64536cb32419c5351e7646162b016cb500bad45f6f7",
+    (1, 0, 1): "b4089de75f69c101f6d2d293335fbe9b5e1016468de414bdb1b8391416f0c432",
+    (1, 1, -1): "33b47d42675cc003921ef3621370858bc3294116da6b46904138ba6981cfa5dc",
+    (1, 1, 1): "933480495546865ccb5f83bb9d7255f774f015a06000a7d09db864df4a80a164",
+    (2, 0, -1): "9b7f1411bed07009aaa768590cfbf3de570edf63edfb95277aa57c9f38b23652",
+    (2, 0, 1): "3c852a20e7e293ba2be0b0b49b3a3c938d054befd565232a93c9613647975975",
+    (2, 1, -1): "00df06bdad85ebfdd49c4c745f03fa3c2aa674e5eb1e8fe22da5f32a189b6733",
+    (2, 1, 1): "5ec8559078d686a374153c34d6c61d55c9399f705e3cf0da5fd1c43c2d1414ca",
+    (3, 0, -1): "792b37783a9ed8d84d646f3bb1e94ed4d4820675c4b946c72bafed2cd12c146e",
+    (3, 0, 1): "4f674eb6a76924954df24f9f80f6fd00661e251798341fb09a2cab9870ec1052",
+    (3, 1, -1): "16e4274755e26eae68b06b979b499e37b0a6251d318bd5b20f46c1833142c9f8",
+    (3, 1, 1): "a88f467ec807d1a47230ce74685619593de1bef1aefc8f250f6c8863bda9f1cf",
+}
+
+
+def test_golden_frame_pinned_across_transports(study_dataset):
+    renderer, assignment, canvas, results = _golden_frame_inputs(study_dataset)
+    common = dict(canvas=canvas, results=results)
+    runs = {
+        "serial": render_viewport_parallel(
+            renderer, assignment, max_workers=0, **common
+        ),
+        "shipback": render_viewport_parallel(
+            renderer, assignment, max_workers=2, shared_fb=False, **common
+        ),
+        "sharedfb": render_viewport_parallel(
+            renderer, assignment, max_workers=2, shared_fb=True, **common
+        ),
+    }
+    for name, report in runs.items():
+        assert not report.degraded, (name, report.degradation.summary())
+        assert _frame_digests(report) == GOLDEN_FRAME_SHA256, name

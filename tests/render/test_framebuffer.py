@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.render.framebuffer import Framebuffer
+from repro.render.framebuffer import Framebuffer, composite
 
 
 class TestBasics:
@@ -44,23 +44,25 @@ class TestBasics:
 class TestCompositing:
     def test_full_coverage_replaces(self):
         fb = Framebuffer(2, 2, background=(0, 0, 0))
-        fb.composite_coverage(np.ones((2, 2)), (1.0, 0.0, 0.0))
+        composite(fb.data, np.ones((2, 2)), (1.0, 0.0, 0.0))
         np.testing.assert_allclose(fb.data[..., 0], 1.0)
 
     def test_half_coverage_blends(self):
         fb = Framebuffer(2, 2, background=(0, 0, 0))
-        fb.composite_coverage(np.full((2, 2), 0.5), (1.0, 1.0, 1.0))
+        composite(fb.data, np.full((2, 2), 0.5), (1.0, 1.0, 1.0))
         np.testing.assert_allclose(fb.data, 0.5)
 
     def test_coverage_clipped_to_one(self):
         fb = Framebuffer(2, 2, background=(0, 0, 0))
-        fb.composite_coverage(np.full((2, 2), 7.0), (1.0, 0.0, 0.0))
+        composite(fb.data, np.full((2, 2), 7.0), (1.0, 0.0, 0.0))
         assert fb.data.max() == pytest.approx(1.0)
 
     def test_shape_mismatch(self):
         fb = Framebuffer(3, 2)
         with pytest.raises(ValueError):
-            fb.composite_coverage(np.ones((3, 3)), (1, 1, 1))
+            composite(fb.data, np.ones((3, 3)), (1, 1, 1))
+        with pytest.raises(ValueError):
+            composite(fb.data, np.ones((2, 3)), np.ones((3, 3, 3)))
 
     def test_composite_rgb(self):
         fb = Framebuffer(2, 2, background=(0, 0, 0))
@@ -68,9 +70,24 @@ class TestCompositing:
         rgb[0, 0] = [0.0, 1.0, 0.0]
         cov = np.zeros((2, 2))
         cov[0, 0] = 1.0
-        fb.composite_rgb(cov, rgb)
+        composite(fb.data, cov, rgb)
         np.testing.assert_allclose(fb.data[0, 0], [0.0, 1.0, 0.0])
         np.testing.assert_allclose(fb.data[1, 1], [0.0, 0.0, 0.0])
+
+    def test_zero_and_negative_coverage_untouched(self):
+        fb = Framebuffer(3, 2, background=(0.2, 0.4, 0.6))
+        before = fb.data.copy()
+        cov = np.array([[0.0, -1.0, 0.0], [-0.5, 0.0, 0.0]])
+        composite(fb.data, cov, (1.0, 1.0, 1.0))
+        np.testing.assert_array_equal(fb.data, before)
+
+    def test_blends_into_a_view(self):
+        fb = Framebuffer(6, 4, background=(0, 0, 0))
+        cov = np.zeros((2, 3))
+        cov[1, 2] = 1.0
+        composite(fb.data[1:3, 2:5], cov, (1.0, 0.0, 0.0))
+        assert fb.data[2, 4, 0] == 1.0
+        assert fb.data[..., 0].sum() == 1.0
 
 
 class TestCircleOutline:

@@ -115,6 +115,50 @@ class TestBrushFootprint:
         )
         np.testing.assert_allclose(fb1.data, fb2.data)
 
+    def test_cache_hit_draws_same_bytes(self, renderer, tile, mapper, cell_rect):
+        centers = np.array([[0.1, -0.1]])
+        radii = np.array([0.08])
+        cache = {}
+        fb1 = Framebuffer(tile.px_width, tile.px_height, (0, 0, 0))
+        cov = renderer.draw_brush_footprint(
+            fb1, mapper, centers, radii, "red", cell_rect, cache=cache
+        )
+        fb2 = Framebuffer(tile.px_width, tile.px_height, (0, 0, 0))
+        again = renderer.draw_brush_footprint(
+            fb2, mapper, centers, radii, "red", cell_rect, cache=cache
+        )
+        assert len(cache) == 1 and again is cov
+        np.testing.assert_array_equal(fb1.data, fb2.data)
+
+    def test_cache_misses_same_size_cell_at_other_subpixel_offset(
+        self, renderer, tile, arena
+    ):
+        # two cells of the same pixel size whose arena mappings differ
+        # by a fraction of a pixel: their footprints differ, so the
+        # second must not be served the first one's coverage
+        centers = np.array([[0.1, -0.1]])
+        radii = np.array([0.08])
+        px_w = 1.0 / tile.pixels_per_meter[0]
+        rect_a = (0.0, 0.0, 0.2, 0.15)
+        rect_b = (0.4 * px_w, 0.0, 0.2 - 0.1 * px_w, 0.15)
+        sizes = set()
+        for rect in (rect_a, rect_b):
+            x0, y0, x1, y1 = renderer._cell_px_rect(rect)
+            sizes.add((x1 - x0, y1 - y0))
+        assert len(sizes) == 1
+        cache = {}
+        for rect in (rect_a, rect_b):
+            fb = Framebuffer(tile.px_width, tile.px_height, (0, 0, 0))
+            cached = renderer.draw_brush_footprint(
+                fb, CoordinateMapper(arena, rect), centers, radii, "red", rect,
+                cache=cache,
+            )
+            fresh, _ = renderer.brush_footprint_coverage(
+                CoordinateMapper(arena, rect), rect, centers, radii
+            )
+            np.testing.assert_array_equal(cached, fresh)
+        assert len(cache) == 2
+
     def test_empty_centers_none(self, renderer, tile, mapper, cell_rect):
         fb = Framebuffer(tile.px_width, tile.px_height)
         out = renderer.draw_brush_footprint(
