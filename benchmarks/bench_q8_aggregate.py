@@ -4,16 +4,17 @@ The tentpole claim of the aggregate refactor: most of a brushing query
 can be answered from per-supernode sufficient statistics (tri-state
 classification over grid-cell × time-bucket summaries), with the exact
 per-segment kernels run only where the summaries are inconclusive —
-and the answer stays **bit-identical** to the legacy per-segment route
+and the answer stays **bit-identical** to the linear per-segment route
 (``tests/core/test_aggregate_parity.py`` holds that line; this bench
 assumes it and measures the payoff).
 
 Measured per scale (1x = the paper's ~500 trajectories, 10x = 5000;
 100x = 50 000 behind ``REPRO_BENCH_100X=1`` — minutes of synth +
-legacy-route time on CI hardware):
+linear-route time on CI hardware):
 
 * **cold query** — median wall over fresh-cache queries, legacy
-  (indexed per-segment) vs aggregate route, same brush + window;
+  (the linear route, ``use_index=False``) vs aggregate route, same
+  brush + window;
 * **warm slider sweep** — median per-query wall while only the time
   window moves (the interaction loop the wall optimizes for: the
   window-independent ``agg_brush`` mask is cached, so each slider tick
@@ -21,9 +22,16 @@ legacy-route time on CI hardware):
 * **pyramid build** — one-time summarization cost and table bytes,
   amortized over every query of an epoch.
 
-Acceptance gates (the issue's targets):
+Acceptance gates:
 
-* aggregate cold ≥ 5x faster than legacy cold at 1x;
+* aggregate cold ≥ ``5 × R_PARENT`` faster than legacy cold at 1x.
+  The legacy engine used to be the grid-indexed route and the gate was
+  5x; that route is gone, so the gate is restated against the linear
+  route scaled by ``R_PARENT``, the cold linear/indexed ratio measured
+  on this bench's own 1x brush and window just before the indexed
+  route was deleted (min-of-N per route, N = 25 alternating cold
+  queries each, on a 2-CPU x86-64 box, Python 3.11, numpy 2.4).  The gate-to-speedup
+  ratio is therefore the one the 5x gate had;
 * aggregate cold < 100 ms at 10x;
 * the warm slider path is preserved (aggregate warm median no worse
   than 3x legacy warm + 1 ms timer floor — in practice it is faster).
@@ -59,7 +67,10 @@ SCALES = {"1x": 500, "10x": 5000}
 if os.environ.get("REPRO_BENCH_100X") == "1":
     SCALES["100x"] = 50_000
 
-GATE_COLD_SPEEDUP_1X = 5.0
+#: Cold linear / cold indexed on the 1x brush, measured before the
+#: indexed route was deleted (see the module docstring).
+R_PARENT = 41.0
+GATE_COLD_SPEEDUP_1X = 5.0 * R_PARENT
 GATE_COLD_AGG_S_10X = 0.100
 
 
@@ -106,9 +117,9 @@ def test_q8_aggregate_first(arena, report_sink):
 
     for label, n_traj in SCALES.items():
         dataset = generate_study_dataset(AntStudyConfig(n_trajectories=n_traj))
-        legacy = CoordinatedBrushingEngine(dataset)
+        legacy = CoordinatedBrushingEngine(dataset, use_index=False)
         t0 = time.perf_counter()
-        agg = CoordinatedBrushingEngine(dataset, use_aggregate=True)
+        agg = CoordinatedBrushingEngine(dataset)
         build_s = time.perf_counter() - t0
         assert agg.pyramid is not None, agg._pyramid_error
 
@@ -142,6 +153,7 @@ def test_q8_aggregate_first(arena, report_sink):
     headline = {
         "cold_speedup_1x": scales["1x"]["cold_speedup"],
         "gate_cold_speedup_1x_min": GATE_COLD_SPEEDUP_1X,
+        "gate_r_parent": R_PARENT,
         "cold_aggregate_s_10x": scales["10x"]["cold_aggregate_s"],
         "gate_cold_aggregate_s_10x_max": GATE_COLD_AGG_S_10X,
         "scales_run": sorted(SCALES),

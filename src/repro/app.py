@@ -10,7 +10,7 @@ performed.  Examples and the analyst simulator build on it.
 
 Since the shared-data-plane refactor the explorer no longer owns the
 heavy state itself: it sits on a :class:`repro.store.DatasetService`
-(one resident dataset + spatial index + stage cache) and holds a
+(one resident dataset + summary pyramid + stage cache) and holds a
 per-user :class:`repro.store.SessionView`.  Constructing an explorer
 from a dataset transparently creates a private service; passing
 ``service=`` lets any number of explorers — one per user at the wall —
@@ -60,7 +60,7 @@ class TrajectoryExplorer:
     service:
         An existing :class:`~repro.store.DatasetService` to share —
         this explorer becomes one more session over its resident
-        dataset, index, and stage cache.  When omitted, a private
+        dataset, summary pyramid, and stage cache.  When omitted, a private
         service is created around ``dataset``.
     arena:
         The shared experimental arena (defaults to the study's).
@@ -79,12 +79,11 @@ class TrajectoryExplorer:
         arena: Arena | None = None,
         viewport: Viewport | None = None,
         layout_key: str = "3",
-        use_index: bool = True,
     ) -> None:
         if service is None:
             if dataset is None:
                 raise ValueError("provide a dataset or a DatasetService")
-            service = DatasetService(dataset, use_index=use_index)
+            service = DatasetService(dataset)
         elif dataset is not None and dataset is not service.dataset:
             raise ValueError("dataset conflicts with the service's dataset")
         self.service = service

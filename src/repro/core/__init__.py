@@ -18,10 +18,9 @@ This subpackage implements the query machinery headlessly and exactly:
 * :mod:`temporal` — the time-window range slider, in absolute seconds
   or per-trajectory fractional form ("the last few seconds of the
   experiment");
-* :mod:`spatial_index` — a uniform-grid segment index that keeps brush
-  hit-testing sublinear in the segment count (ablation A2);
 * :mod:`engine` — the vectorized coordinated-brushing engine over a
-  whole dataset;
+  whole dataset, answering through the summary pyramid of
+  :mod:`aggregate` (ablation A2 turns it off);
 * :mod:`plan` — the staged query-plan pipeline behind the engine:
   planner, executor, keyed stage cache, and per-stage traces;
 * :mod:`result` — per-segment/per-trajectory highlight masks, group
@@ -44,7 +43,6 @@ from repro.core.plan import (
 )
 from repro.core.canvas import BrushCanvas
 from repro.core.temporal import TimeWindow
-from repro.core.spatial_index import UniformGridIndex
 from repro.core.engine import CoordinatedBrushingEngine
 from repro.core.result import GroupSupport, QueryResult
 from repro.core.hypothesis import Hypothesis, Verdict
@@ -76,7 +74,6 @@ __all__ = [
     "stroke_from_rect",
     "BrushCanvas",
     "TimeWindow",
-    "UniformGridIndex",
     "CoordinatedBrushingEngine",
     "QueryResult",
     "GroupSupport",

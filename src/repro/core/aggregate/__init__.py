@@ -25,7 +25,6 @@ from repro.core.aggregate.kernels import (
     OUT,
     brush_hit_cells,
     brush_hit_rows,
-    brush_hit_rows_scalar,
     classify_spatial,
     classify_temporal,
     refine_temporal_rows,
@@ -41,6 +40,5 @@ __all__ = [
     "classify_spatial",
     "brush_hit_cells",
     "brush_hit_rows",
-    "brush_hit_rows_scalar",
     "refine_temporal_rows",
 ]

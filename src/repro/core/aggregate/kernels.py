@@ -48,9 +48,7 @@ __all__ = [
     "classify_temporal",
     "classify_spatial",
     "brush_hit_cells",
-    "brush_hit_mask",
     "brush_hit_rows",
-    "brush_hit_rows_scalar",
     "refine_temporal_rows",
 ]
 
@@ -188,8 +186,6 @@ def brush_hit_rows(
     radii: np.ndarray,
     packed: PackedSegments,
     rows: np.ndarray,
-    *,
-    chunk: int = 262_144,
 ) -> np.ndarray:
     """Exact capsule hit-test over a row subset, fully vectorized.
 
@@ -212,7 +208,6 @@ def brush_hit_rows(
     in a stamp's boundary cells, most stamps far away) this cuts the
     exact-kernel evaluations by one to two orders of magnitude.
     """
-    del chunk  # kept for API stability; pruning replaced the chunking
     rows = np.asarray(rows, dtype=np.int64)
     out = np.zeros(len(rows), dtype=bool)
     if len(centers) == 0 or len(rows) == 0:
@@ -315,57 +310,6 @@ def brush_hit_cells(
         d = point_segment_distance(centers[j], a[cand], b[cand])
         out[cand] = d <= radii[j]
     return rows, out
-
-
-def brush_hit_mask(
-    centers: np.ndarray,
-    radii: np.ndarray,
-    packed: PackedSegments,
-    candidates: np.ndarray | None = None,
-) -> np.ndarray:
-    """Full-length exact hit mask over packed segments.
-
-    The index-backed ``brush_hit`` stage kernel: with ``candidates``
-    (rows from :meth:`UniformGridIndex.candidates_for_discs`) only
-    those rows run the exact capsule test via :func:`brush_hit_rows`;
-    all other rows are False by the index's conservativeness.  Without
-    candidates every row is tested.  Either way the verdict per row is
-    the same float expression the legacy
-    :meth:`~repro.core.canvas.BrushCanvas.segment_hit_mask` evaluates,
-    so the stage output stays bit-identical to the scalar oracle.
-    """
-    out = np.zeros(packed.n_segments, dtype=bool)
-    if len(centers) == 0:
-        return out
-    if candidates is None:
-        rows = np.arange(packed.n_segments, dtype=np.int64)
-        out[:] = brush_hit_rows(centers, radii, packed, rows)
-        return out
-    candidates = np.asarray(candidates, dtype=np.int64)
-    if len(candidates):
-        out[candidates] = brush_hit_rows(centers, radii, packed, candidates)
-    return out
-
-
-def brush_hit_rows_scalar(
-    centers: np.ndarray,
-    radii: np.ndarray,
-    packed: PackedSegments,
-    rows: np.ndarray,
-) -> np.ndarray:
-    """Scalar reference for :func:`brush_hit_rows` (tests only).
-
-    One segment × one stamp at a time through the same distance kernel
-    — the micro-parity oracle for the vectorized path.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    out = np.zeros(len(rows), dtype=bool)
-    for i, r in enumerate(rows):
-        for c, rad in zip(centers, radii):
-            if float(point_segment_distance(c, packed.a[r], packed.b[r])) <= rad:
-                out[i] = True
-                break
-    return out
 
 
 def refine_temporal_rows(

@@ -48,7 +48,7 @@ from repro.trajectory.dataset import PackedSegments, TrajectoryDataset
 
 __all__ = ["SummaryPyramid"]
 
-#: Default spatial resolution of the leaf grid (matches the spatial index).
+#: Default spatial resolution of the leaf grid.
 DEFAULT_RES = 64
 #: Default number of fractional time buckets per cell.
 DEFAULT_TBUCKETS = 8
@@ -63,7 +63,7 @@ class SummaryPyramid:
     shared-arena tables with :meth:`from_tables`.  All arrays are
     read-only after construction — a pyramid is published into epoch
     snapshots and read lock-free by concurrent sessions, exactly like
-    the packed view and spatial index it summarizes.
+    the packed view it summarizes.
 
     Attributes
     ----------
@@ -98,7 +98,7 @@ class SummaryPyramid:
         (T,) per-trajectory start time and duration, computed with the
         exact expressions the legacy temporal stage uses.
     lo / cell_size:
-        Grid geometry (like the spatial index's).
+        Grid geometry (origin and per-axis cell extent).
     """
 
     __slots__ = (
@@ -148,8 +148,8 @@ class SummaryPyramid:
         self.n_tbuckets = int(n_tbuckets)
         self.levels = tuple(int(v) for v in levels)
 
-        # grid geometry over segment endpoint extents (same padding as
-        # the spatial index, so boundary points land strictly inside)
+        # grid geometry over segment endpoint extents (padded so
+        # boundary points land strictly inside)
         seg_lo = np.minimum(packed.a, packed.b)
         seg_hi = np.maximum(packed.a, packed.b)
         lo_pt = seg_lo.min(axis=0)

@@ -34,18 +34,13 @@ class MultiscaleExplorer:
     ----------
     model:
         A fitted cluster model.
-    use_index:
-        Whether the per-level engines build spatial indices.
     """
 
-    def __init__(self, model: ClusterModel, *, use_index: bool = True) -> None:
+    def __init__(self, model: ClusterModel) -> None:
         if len(model.averages) == 0:
             raise ValueError("cluster model has no non-empty clusters")
         self.model = model
-        self.use_index = use_index
-        self.overview_engine = CoordinatedBrushingEngine(
-            model.averages, use_index=use_index
-        )
+        self.overview_engine = CoordinatedBrushingEngine(model.averages)
         self._zoom_engines: dict[int, CoordinatedBrushingEngine] = {}
 
     # Overview level --------------------------------------------------------
@@ -82,9 +77,7 @@ class MultiscaleExplorer:
             members = self.model.member_dataset(cluster)
             if len(members) == 0:
                 raise ValueError(f"cluster {cluster} is empty")
-            self._zoom_engines[cluster] = CoordinatedBrushingEngine(
-                members, use_index=self.use_index
-            )
+            self._zoom_engines[cluster] = CoordinatedBrushingEngine(members)
         return self._zoom_engines[cluster]
 
     def query_cluster(
@@ -146,9 +139,7 @@ class MultiscaleExplorer:
             if overview.traj_mask[row]:
                 weighted_hits += int(sizes[cluster])
         cluster_support = weighted_hits / max(1, total)
-        engine = exact_engine or CoordinatedBrushingEngine(
-            self.model.source, use_index=self.use_index
-        )
+        engine = exact_engine or CoordinatedBrushingEngine(self.model.source)
         exact = engine.query(canvas, color, window=window)
         return {
             "cluster_level_support": cluster_support,

@@ -12,17 +12,19 @@ explicit plan/execute pipeline:
 * :mod:`trace` — :class:`QueryTrace` / :class:`StageRecord`, the
   per-stage observability surface (wall time, cardinalities, cache
   hit/miss) attached to every :class:`~repro.core.result.QueryResult`;
-* :mod:`cache` — :class:`StageCache`, a keyed LRU whose keys embed
-  explicit invalidation epochs (dataset epoch, canvas stroke epoch,
-  window key) so stale entries can never be served;
-* :mod:`planner` — :class:`QueryPlanner`, which builds the stage DAG
-  ``temporal_mask → spatial_candidates → brush_hit → combine →
-  aggregate → group_support`` and chooses index vs brute-force per the
-  degradation ladder;
+* :mod:`cache` — :class:`StageCache`, a locked keyed LRU whose keys
+  embed explicit invalidation epochs (dataset epoch, canvas stroke
+  epoch, window key) so stale entries can never be served;
+* :mod:`planner` — :class:`QueryPlanner`, which picks one of three
+  strategies — ``aggregate`` (the summary-pyramid DAG ``agg_temporal →
+  agg_spatial → agg_brush → classify → drilldown → aggregate →
+  group_support``), ``brute-force`` (the linear DAG ``temporal_mask →
+  brush_hit → combine → aggregate → group_support``) or
+  ``empty-brush`` — and derives every stage's cache key;
 * :mod:`executor` — :class:`QueryExecutor`, which runs planned stages
-  through the cache, so a slider-only change re-executes just
-  ``temporal_mask → combine → aggregate`` and a color-only change
-  reuses the temporal mask outright.
+  through the cache, so a slider-only change re-executes just the
+  temporal stages and a color-only change reuses the temporal ones
+  outright.
 
 This is what makes the paper's "a brush or slider tweak answers in a
 few seconds across ~500 trajectories" hold as datasets grow: the warm

@@ -1,4 +1,4 @@
-"""The keyed stage cache, plain and shard-striped.
+"""The keyed stage cache.
 
 An LRU mapping stage cache keys to stage outputs.  Invalidation is
 epoch-based and *explicit*: every key embeds the epochs its value
@@ -10,29 +10,21 @@ then either evicted lazily by the LRU or eagerly via
 Stage outputs are numpy arrays marked read-only by the executor before
 insertion, so serving the same array to multiple queries is safe.
 
-Two implementations share one interface:
-
-* :class:`StageCache` — the single-user building block.  Not thread
-  safe (an LRU lookup is a read-*modify* operation: ``move_to_end``).
-* :class:`ShardedStageCache` — N independent :class:`StageCache`
-  shards, each behind its own micro-mutex, selected by key hash.  This
-  is what the multi-tenant service hands its shared engines: concurrent
-  sessions' stage lookups stripe across shards instead of contending on
-  one lock (and *never* touch the service lock — the critical section
-  is a handful of dict operations, bounded and allocation-light).  A
-  given key always maps to the same shard, so hit/miss/eviction
-  semantics per key are identical to a single cache of the same total
-  capacity.
+One class serves the single-user engine and the multi-tenant service
+alike: every operation runs behind one mutex (an LRU lookup is a
+read-*modify* operation — ``move_to_end``), so concurrent sessions may
+share one cache.  The critical section is a handful of dict operations,
+bounded and allocation-light, and it never touches the service lock.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
-__all__ = ["StageCache", "ShardedStageCache", "CacheStats"]
+__all__ = ["StageCache", "CacheStats"]
 
 _MISSING = object()
 
@@ -53,13 +45,18 @@ class CacheStats:
 
 
 class StageCache:
-    """LRU cache of stage outputs keyed on epoch-embedding tuples.
+    """Thread-safe LRU cache of stage outputs keyed on epoch-embedding
+    tuples.
 
     Parameters
     ----------
     capacity:
         Maximum number of retained stage outputs; least recently used
         entries are evicted beyond it.
+
+    Every method holds the cache's one lock for its whole body, so
+    counters are exact under concurrency (each lookup is one hit or one
+    miss) and :attr:`stats` reads a consistent copy.
     """
 
     def __init__(self, capacity: int = 128) -> None:
@@ -67,40 +64,50 @@ class StageCache:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self._entries: OrderedDict[tuple, Any] = OrderedDict()
-        self.stats = CacheStats()
+        self._stats = CacheStats()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, key: tuple) -> bool:
-        return key in self._entries
+        with self._lock:
+            return key in self._entries
+
+    @property
+    def stats(self) -> CacheStats:
+        """A consistent copy of the counters (mutating it does not
+        write back)."""
+        with self._lock:
+            return replace(self._stats)
 
     def get(self, key: tuple) -> Any:
         """Look up a stage output; counts a hit/miss and refreshes
-        recency.  Returns the sentinel-free value or ``None``-safe
-        :data:`MISS` via :meth:`lookup` semantics — callers should use
-        :meth:`lookup` when ``None`` is a legal cached value."""
+        recency.  Returns ``None`` on a miss — use :meth:`lookup` when
+        ``None`` is a legal cached value."""
         value, found = self.lookup(key)
         return value if found else None
 
     def lookup(self, key: tuple) -> tuple[Any, bool]:
         """(value, found) lookup that distinguishes a cached ``None``."""
-        value = self._entries.get(key, _MISSING)
-        if value is _MISSING:
-            self.stats.misses += 1
-            return None, False
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return value, True
+        with self._lock:
+            value = self._entries.get(key, _MISSING)
+            if value is _MISSING:
+                self._stats.misses += 1
+                return None, False
+            self._entries.move_to_end(key)
+            self._stats.hits += 1
+            return value, True
 
     def put(self, key: tuple, value: Any) -> None:
         """Insert (or refresh) a stage output, evicting LRU overflow."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = value
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            self._entries[key] = value
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self._stats.evictions += 1
 
     # Invalidation -------------------------------------------------------
     def invalidate(
@@ -119,135 +126,31 @@ class StageCache:
         entries dropped.  Purely an eager complement to the lazy
         epoch-in-key scheme — correctness never depends on calling it.
         """
-        drop: list[tuple] = []
-        for key in self._entries:
-            meta = _key_meta(key)
-            if dataset_epoch is not None and meta.get("dataset_epoch") != dataset_epoch:
-                drop.append(key)
-            elif canvas_epoch is not None and meta.get("canvas_epoch", canvas_epoch) != canvas_epoch:
-                drop.append(key)
-            elif window_key is not None and meta.get("window_key", window_key) != window_key:
-                drop.append(key)
-        for key in drop:
-            del self._entries[key]
-        self.stats.invalidations += len(drop)
-        return len(drop)
+        with self._lock:
+            drop: list[tuple] = []
+            for key in self._entries:
+                meta = _key_meta(key)
+                if dataset_epoch is not None and meta.get("dataset_epoch") != dataset_epoch:
+                    drop.append(key)
+                elif canvas_epoch is not None and meta.get("canvas_epoch", canvas_epoch) != canvas_epoch:
+                    drop.append(key)
+                elif window_key is not None and meta.get("window_key", window_key) != window_key:
+                    drop.append(key)
+            for key in drop:
+                del self._entries[key]
+            self._stats.invalidations += len(drop)
+            return len(drop)
 
     def clear(self) -> None:
         """Drop everything (counts as invalidations)."""
-        self.stats.invalidations += len(self._entries)
-        self._entries.clear()
+        with self._lock:
+            self._stats.invalidations += len(self._entries)
+            self._entries.clear()
 
     def keys(self) -> list[tuple]:
         """Current keys, LRU-first (introspection/tests)."""
-        return list(self._entries)
-
-
-class ShardedStageCache:
-    """A thread-safe stage cache striped over N locked shards.
-
-    Parameters
-    ----------
-    capacity:
-        Total retained stage outputs across all shards (each shard gets
-        ``ceil(capacity / shards)``, so the aggregate capacity is at
-        least ``capacity``).
-    shards:
-        Number of independent shards.  More shards, less lock
-        contention; 8 covers the 64-session target comfortably because
-        the critical section is a few dict operations.
-
-    The interface is a superset drop-in for :class:`StageCache`
-    (``lookup``/``put``/``get``/``invalidate``/``clear``/``keys``/
-    ``stats``/``len``/``in``); the executor and engine never know which
-    one they hold.  Shard selection is ``hash(key) % shards`` — stage
-    keys are hashable planner tuples — so one key always lands on one
-    shard and per-key LRU/hit/miss behavior matches the single cache.
-    Per-shard :class:`CacheStats` are merged on read; counters are
-    mutated under the owning shard's lock, so totals are exact.
-    """
-
-    def __init__(self, capacity: int = 128, *, shards: int = 8) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self.capacity = int(capacity)
-        per_shard = -(-int(capacity) // int(shards))  # ceil division
-        self._shards = tuple(StageCache(per_shard) for _ in range(shards))
-        self._locks = tuple(threading.Lock() for _ in range(shards))
-
-    @property
-    def n_shards(self) -> int:
-        """Number of stripe shards."""
-        return len(self._shards)
-
-    def _shard_of(self, key: tuple) -> int:
-        return hash(key) % len(self._shards)
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._shards)
-
-    def __contains__(self, key: tuple) -> bool:
-        i = self._shard_of(key)
-        with self._locks[i]:
-            return key in self._shards[i]
-
-    def get(self, key: tuple) -> Any:
-        """:meth:`StageCache.get` against the owning shard."""
-        value, found = self.lookup(key)
-        return value if found else None
-
-    def lookup(self, key: tuple) -> tuple[Any, bool]:
-        """(value, found) lookup under the owning shard's lock only."""
-        i = self._shard_of(key)
-        with self._locks[i]:
-            return self._shards[i].lookup(key)
-
-    def put(self, key: tuple, value: Any) -> None:
-        """Insert under the owning shard's lock; LRU-evicts per shard."""
-        i = self._shard_of(key)
-        with self._locks[i]:
-            self._shards[i].put(key, value)
-
-    # Invalidation -------------------------------------------------------
-    def invalidate(self, **criteria: Any) -> int:
-        """Eagerly drop mismatching-epoch entries across every shard."""
-        return sum(
-            self._locked_shard_call(i, "invalidate", **criteria)
-            for i in range(len(self._shards))
-        )
-
-    def clear(self) -> None:
-        """Drop everything in every shard."""
-        for i in range(len(self._shards)):
-            self._locked_shard_call(i, "clear")
-
-    def keys(self) -> list[tuple]:
-        """All current keys, shard-major then LRU-first within a shard."""
-        out: list[tuple] = []
-        for i in range(len(self._shards)):
-            with self._locks[i]:
-                out.extend(self._shards[i].keys())
-        return out
-
-    def _locked_shard_call(self, i: int, method: str, **kwargs: Any) -> Any:
-        with self._locks[i]:
-            return getattr(self._shards[i], method)(**kwargs)
-
-    @property
-    def stats(self) -> CacheStats:
-        """Exact merged counters across shards (a fresh value object —
-        mutating it does not write back)."""
-        merged = CacheStats()
-        for i in range(len(self._shards)):
-            with self._locks[i]:
-                s = self._shards[i].stats
-                merged.hits += s.hits
-                merged.misses += s.misses
-                merged.evictions += s.evictions
-                merged.invalidations += s.invalidations
-        return merged
+        with self._lock:
+            return list(self._entries)
 
 
 def _key_meta(key: tuple) -> dict:

@@ -23,8 +23,8 @@ class StageRecord:
     Attributes
     ----------
     stage:
-        Stage name (``temporal_mask``, ``spatial_candidates``,
-        ``brush_hit``, ``combine``, ``aggregate``, ``group_support``).
+        Stage name (one of
+        :data:`~repro.core.plan.planner.STAGE_ORDER`).
     elapsed_s:
         Wall time of the stage (near zero on a cache hit).
     n_in:
@@ -62,7 +62,7 @@ class QueryTrace:
     Attributes
     ----------
     strategy:
-        The planner's routing decision (``indexed`` | ``brute-force``
+        The planner's routing decision (``aggregate`` | ``brute-force``
         | ``empty-brush``).
     plan_s:
         Wall time spent building the plan.

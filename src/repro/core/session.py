@@ -134,9 +134,6 @@ class ExplorationSession:
         The wall viewport hosting the small multiples.
     layout_key:
         Initial keypad layout preset ('1' | '2' | '3').
-    use_index:
-        Whether the query engine builds its spatial index (ignored when
-        ``engine`` is supplied).
     journal_path:
         Optional path of a crash-safe append-only event journal; every
         action is durably recorded so :func:`replay_session` can
@@ -151,10 +148,8 @@ class ExplorationSession:
         of building a private one.  This is how
         :class:`repro.store.DatasetService` hands N concurrent sessions
         one resident copy of the packed arrays and one stage cache;
-        when sessions run on multiple threads, share an engine whose
-        stage cache is thread safe (e.g.
-        :class:`repro.store.SharedQueryEngine`, which is lock-free over
-        a sharded cache).
+        every engine's stage cache is locked, so sessions on multiple
+        threads may share one.
     """
 
     def __init__(
@@ -163,7 +158,6 @@ class ExplorationSession:
         viewport: Viewport,
         *,
         layout_key: str = "3",
-        use_index: bool = True,
         journal_path: str | Path | None = None,
         journal_durable: bool = True,
         engine: CoordinatedBrushingEngine | None = None,
@@ -173,9 +167,7 @@ class ExplorationSession:
         self.dataset = dataset
         self.viewport = viewport
         self.engine = (
-            engine
-            if engine is not None
-            else CoordinatedBrushingEngine(dataset, use_index=use_index)
+            engine if engine is not None else CoordinatedBrushingEngine(dataset)
         )
         self.canvas = BrushCanvas()
         self.window: TimeWindow = TimeWindow.all()
@@ -371,7 +363,6 @@ def replay_session(
     dataset: TrajectoryDataset,
     viewport: Viewport,
     *,
-    use_index: bool = True,
     journal_path_out: str | Path | None = None,
 ) -> ExplorationSession:
     """Rebuild a session from its event journal.
@@ -396,7 +387,6 @@ def replay_session(
         dataset,
         viewport,
         layout_key=layout_key,
-        use_index=use_index,
         journal_path=journal_path_out,
     )
     for record in records[start:]:

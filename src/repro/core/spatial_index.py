@@ -1,12 +1,12 @@
-"""Uniform-grid spatial index over packed segments.
+"""Uniform-grid segment binning (build only).
 
-Brush hit-testing is a segments-vs-discs proximity query.  Testing
-every segment against every stamp is O(S*K); at study scale (~300k
-segments) that is already interactive, but the §VI-C workloads reach
-tens of millions of segments.  The index bins segment bounding boxes
-into a uniform grid over the arena so a brush query only tests the
-segments in grid cells its stamps touch — typically a few percent of
-the dataset for localized brushes (quantified by ablation A2).
+No query route reads this structure any more: brush queries answer
+through the :class:`~repro.core.aggregate.SummaryPyramid` or, as the
+oracle and degradation rung, the linear scan.  :class:`UniformGridIndex`
+is kept only because the traced run of the interaction benchmark
+(``perfbench``) times its build as a layer of the ledger; a later
+change that edits the benchmark removes the module.  Nothing under
+``src/`` imports it.
 
 The bin structure is CSR-like (one int array of segment rows + one
 offset array per cell), built fully vectorized with a counting sort.
@@ -18,94 +18,7 @@ import numpy as np
 
 from repro.trajectory.dataset import PackedSegments
 
-__all__ = ["CellBitsets", "UniformGridIndex"]
-
-
-class CellBitsets:
-    """Lazily-built per-cell segment bitsets over a grid index.
-
-    ``candidates_for_discs`` has to union the member rows of every grid
-    cell a brush touches and de-duplicate them (a segment registers in
-    each cell its bbox overlaps).  The CSR route does that with a
-    Python loop over cells plus ``np.unique`` over the concatenated
-    entries — O(E log E) per query with E re-gathered every time.  A
-    packed bitset (one ``uint64`` word per 64 segments) turns the union
-    into word-wise OR over cached masks: build once per cell on first
-    touch, then every repeat brush over the same neighbourhood is pure
-    vector arithmetic.
-
-    The cache lives on the index (and the index lives on the immutable
-    :class:`~repro.store.snapshot.EpochSnapshot` via
-    ``snapshot.bitsets``), so it is valid for the epoch's lifetime by
-    construction.  Lazy insertion races under concurrent sessions are
-    benign: both writers compute identical words for the same cell
-    (the index is immutable) and dict assignment is atomic under the
-    GIL, so the loser merely overwrites equal bytes.
-
-    ``budget_bytes`` caps the resident mask bytes; once exhausted,
-    masks are still computed for the caller but no longer cached —
-    correctness never depends on the cache.
-
-    Holds the index's CSR arrays, never the index object itself: the
-    index memoizes its cache as ``index._bitsets``, and a back-pointer
-    would close a reference cycle that keeps shared-store views alive
-    past a client's ``close()`` (the store leak checks would trip on
-    the unreleased mapping).
-    """
-
-    __slots__ = (
-        "_entries", "_offsets", "_n_segments", "_n_words",
-        "_cells", "_budget_bytes", "_cached_bytes",
-    )
-
-    def __init__(self, index: "UniformGridIndex", *, budget_bytes: int = 32 << 20) -> None:
-        self._entries = index._entries
-        self._offsets = index._offsets
-        self._n_segments = index.packed.n_segments
-        self._n_words = (self._n_segments + 63) // 64
-        self._cells: dict[int, np.ndarray] = {}
-        self._budget_bytes = int(budget_bytes)
-        self._cached_bytes = 0
-
-    @property
-    def n_cached(self) -> int:
-        """Cells whose bitset is currently resident."""
-        return len(self._cells)
-
-    @property
-    def cached_bytes(self) -> int:
-        """Bytes of resident bitset words (bounded by the budget)."""
-        return self._cached_bytes
-
-    def words_of(self, cell: int) -> np.ndarray:
-        """The packed ``uint64`` bitset of one flat cell id (cached
-        after the first build while the byte budget allows)."""
-        words = self._cells.get(cell)
-        if words is None:
-            rows = self._entries[self._offsets[cell] : self._offsets[cell + 1]]
-            words = np.zeros(self._n_words, dtype=np.uint64)
-            if len(rows):
-                np.bitwise_or.at(
-                    words, rows >> 6, np.uint64(1) << (rows & 63).astype(np.uint64)
-                )
-            words.setflags(write=False)
-            if self._cached_bytes + words.nbytes <= self._budget_bytes:
-                self._cells[cell] = words
-                self._cached_bytes += words.nbytes
-        return words
-
-    # reprolint: exempt=RL011 — boundary-atomic index probe (same
-    # contract as candidates_for_discs below): the loop is bounded
-    # by the touched-cell count of one brush, not dataset size, and
-    # deadline checks sit at the enclosing stage boundary
-    def union_mask(self, cells: np.ndarray) -> np.ndarray:
-        """(n_segments,) bool union of the member sets of ``cells``."""
-        words = np.zeros(self._n_words, dtype=np.uint64)
-        for cell in cells:
-            np.bitwise_or(words, self.words_of(int(cell)), out=words)
-        return np.unpackbits(words.view(np.uint8), bitorder="little")[
-            : self._n_segments
-        ].astype(bool)
+__all__ = ["UniformGridIndex"]
 
 
 class UniformGridIndex:
@@ -142,7 +55,6 @@ class UniformGridIndex:
         seg_ids = np.empty(total, dtype=np.int64)
         cell_ids = np.empty(total, dtype=np.int64)
         cursor = 0
-        max_span = int(spans.max())
         for sx in range(1, int((hi_cells[:, 0] - lo_cells[:, 0] + 1).max()) + 1):
             for sy in range(1, int((hi_cells[:, 1] - lo_cells[:, 1] + 1).max()) + 1):
                 sel = (
@@ -163,7 +75,6 @@ class UniformGridIndex:
                 cell_ids[cursor : cursor + count] = flat.ravel()
                 cursor += count
         assert cursor == total, (cursor, total)
-        del max_span
 
         order = np.argsort(cell_ids, kind="stable")
         self._entries = seg_ids[order]
@@ -172,149 +83,8 @@ class UniformGridIndex:
         self._offsets = np.zeros(res * res + 1, dtype=np.int64)
         np.cumsum(counts, out=self._offsets[1:])
 
-    @classmethod
-    def from_tables(
-        cls,
-        packed: PackedSegments,
-        *,
-        res: int,
-        lo: np.ndarray,
-        cell_size: np.ndarray,
-        entries: np.ndarray,
-        offsets: np.ndarray,
-    ) -> "UniformGridIndex":
-        """Adopt pre-built CSR cell tables without re-binning.
-
-        The zero-copy rebuild path for shared-memory attachment
-        (:mod:`repro.store`): ``entries``/``offsets`` are taken as-is
-        (typically views into a shared block) together with the grid
-        geometry captured at build time, so attaching a store costs
-        O(1) instead of a counting sort over every segment.
-        """
-        if res < 1:
-            raise ValueError("res must be >= 1")
-        if len(offsets) != res * res + 1:
-            raise ValueError(
-                f"offsets has {len(offsets)} entries, expected {res * res + 1}"
-            )
-        if len(entries) != int(offsets[-1]):
-            raise ValueError(
-                f"entries has {len(entries)} rows, offsets end at {offsets[-1]}"
-            )
-        index = cls.__new__(cls)
-        index.res = int(res)
-        index.packed = packed
-        index.lo = np.asarray(lo, dtype=np.float64)
-        index.cell_size = np.asarray(cell_size, dtype=np.float64)
-        index._entries = entries
-        index._offsets = offsets
-        return index
-
-    # Internals -----------------------------------------------------------
     def _cell_of(self, points: np.ndarray) -> np.ndarray:
         """Integer grid cell of (N, 2) points, clipped into the grid."""
         cells = np.floor((points - self.lo) / self.cell_size).astype(np.int64)
         np.clip(cells, 0, self.res - 1, out=cells)
         return cells
-
-    @property
-    def n_entries(self) -> int:
-        """Total (segment, cell) registrations (>= n_segments)."""
-        return len(self._entries)
-
-    @property
-    def cache_token(self) -> tuple:
-        """Identity of this index build for query-plan cache keys: a
-        rebuilt (or differently parameterized) index must invalidate
-        cached candidate sets."""
-        return (id(self), self.res, self.packed.n_segments, self.n_entries)
-
-    @property
-    def duplication_factor(self) -> float:
-        """Mean cells per segment; near 1 at sane resolutions."""
-        return self.n_entries / self.packed.n_segments
-
-    def cell_entries(self, cx: int, cy: int) -> np.ndarray:
-        """Segment rows registered in grid cell (cx, cy)."""
-        if not (0 <= cx < self.res and 0 <= cy < self.res):
-            raise IndexError(f"cell ({cx}, {cy}) outside {self.res}x{self.res} grid")
-        flat = cy * self.res + cx
-        return self._entries[self._offsets[flat] : self._offsets[flat + 1]]
-
-    def bitsets(self) -> CellBitsets:
-        """This index build's lazy :class:`CellBitsets` cache (memoized).
-
-        A racing first call under concurrent sessions is benign: both
-        threads build an empty cache over the same immutable tables and
-        attribute assignment is atomic under the GIL — the loser's
-        cache is simply dropped before it cached anything.
-        """
-        cache: CellBitsets | None = getattr(self, "_bitsets", None)
-        if cache is None:
-            cache = CellBitsets(self)
-            self._bitsets = cache
-        return cache
-
-    # Queries --------------------------------------------------------------
-    # reprolint: exempt=RL011 — boundary-atomic index probe: runs
-    # inside one pipeline stage whose deadline check sits at the
-    # stage boundary (RL008); the loop is bounded by the brush disc
-    # count, not dataset size
-    def touched_cells_for_discs(
-        self, centers: np.ndarray, radii: np.ndarray
-    ) -> np.ndarray:
-        """Sorted flat ids of grid cells any disc's bounding box
-        overlaps (conservative: the cell rectangle per disc)."""
-        centers = np.asarray(centers, dtype=np.float64)
-        radii = np.asarray(radii, dtype=np.float64)
-        if centers.ndim != 2 or centers.shape[1] != 2:
-            raise ValueError(f"centers must be (K, 2), got {centers.shape}")
-        if len(radii) != len(centers):
-            raise ValueError("radii must match centers")
-        if len(centers) == 0:
-            return np.empty(0, dtype=np.int64)
-        lo_cells = self._cell_of(centers - radii[:, None])
-        hi_cells = self._cell_of(centers + radii[:, None])
-        touched = np.zeros((self.res, self.res), dtype=bool)
-        for (cx0, cy0), (cx1, cy1) in zip(lo_cells, hi_cells):
-            touched[cy0 : cy1 + 1, cx0 : cx1 + 1] = True
-        return np.flatnonzero(touched.ravel())
-
-    def candidates_for_discs(self, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        """Unique segment rows whose cells a set of discs may touch.
-
-        Conservative (never misses a hit): each disc selects the cell
-        rectangle covering its bounding box.  The member union is a
-        word-wise OR over the per-cell :class:`CellBitsets` masks —
-        ``flatnonzero`` of a boolean union mask yields exactly the
-        sorted-unique rows the CSR gather produced, so the rewrite is
-        pinned bit-identical to :meth:`candidates_for_discs_scalar` by
-        the property suite.
-        """
-        cells = self.touched_cells_for_discs(centers, radii)
-        if len(cells) == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.flatnonzero(self.bitsets().union_mask(cells))
-
-    # reprolint: exempt=RL011 — boundary-atomic index probe: see
-    # touched_cells_for_discs; retained as the scalar parity oracle
-    def candidates_for_discs_scalar(
-        self, centers: np.ndarray, radii: np.ndarray
-    ) -> np.ndarray:
-        """CSR gather-and-unique reference for :meth:`candidates_for_discs`
-        (tests pin the bitset path to this oracle)."""
-        cells = self.touched_cells_for_discs(centers, radii)
-        if len(cells) == 0:
-            return np.empty(0, dtype=np.int64)
-        chunks = [
-            self._entries[self._offsets[c] : self._offsets[c + 1]] for c in cells
-        ]
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(chunks))
-
-    def candidate_fraction(self, centers: np.ndarray, radii: np.ndarray) -> float:
-        """Fraction of the dataset's segments a query must test —
-        the selectivity number ablation A2 reports."""
-        cand = self.candidates_for_discs(centers, radii)
-        return len(cand) / self.packed.n_segments

@@ -69,7 +69,7 @@ def _query_chunk(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     canvas = BrushCanvas()
     for s in _WORKER_DATA["strokes"]:
         canvas.add(s)
-    engine = CoordinatedBrushingEngine(sub, use_index=True)
+    engine = CoordinatedBrushingEngine(sub)
     result = engine.query(canvas, _WORKER_DATA["color"], window=_WORKER_DATA["window"])
     return chunk, result.traj_mask
 

@@ -22,9 +22,10 @@ substrate the reproduction's scaling work builds on:
   (crash-at-boundary, attach-during-swap, evict-with-live-sessions)
   with conservation, stale-read, and shm-leak invariants.
 
-The degradation ladder, top to bottom: **indexed** (spatial-index
-accelerated query) → **brute-force** (unindexed full scan) →
-**serial** (in-process execution of pool work).  Every step down is
+The degradation ladder, top to bottom: **aggregate** (summary-pyramid
+accelerated query) → **brute-force** (linear full scan, when the
+pyramid build failed) → **serial** (in-process execution of pool
+work).  Every step down is
 recorded, never silent, and preserves exact results.
 """
 

@@ -29,13 +29,13 @@ class FaultEvent:
         What went wrong: ``"crash"`` (worker/pool death), ``"error"``
         (job raised), ``"timeout"``, ``"corrupt"`` (result failed
         validation), ``"injected-*"`` (a fault-plan fault observed as
-        such), ``"index-failure"`` / ``"index-build-failure"`` (spatial
-        index misbehaved), ``"io-row"`` / ``"io-trajectory"`` (loader
+        such), ``"pyramid-build-failure"`` (the summary pyramid could
+        not be built; queries ran the linear route), ``"io-row"`` / ``"io-trajectory"`` (loader
         quarantine), ``"shm-attach-failure"`` (a shared-memory store
         handle could not be attached — stale epoch or evicted block).
     scope:
-        Which layer observed it: ``"job"``, ``"pool"``, ``"index"``,
-        ``"io"``, or ``"session"``.
+        Which layer observed it: ``"job"``, ``"pool"``, ``"pyramid"``,
+        ``"query"``, ``"io"``, or ``"session"``.
     action:
         What the supervisor did about it: ``"retried"``,
         ``"serial-fallback"``, ``"degraded-brute-force"``,

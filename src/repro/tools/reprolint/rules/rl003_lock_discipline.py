@@ -18,8 +18,8 @@ has two halves, and RL003 machine-checks both:
    ...._lock`` block or an ``.acquire()`` call — is a violation.  This
    is the invariant that makes N concurrent sessions scale: queries
    read epoch-immutable snapshot state and never queue behind a
-   publish (the per-shard micro-mutexes of the sharded stage cache
-   live in :mod:`repro.core.plan.cache`, outside this rule's scope, by
+   publish (the stage cache's one micro-mutex lives in
+   :mod:`repro.core.plan.cache`, outside this rule's scope, by
    design).
 
 ``__init__`` (and alternate constructors) are exempt from half 1: the

@@ -1,12 +1,12 @@
 """RL004 — degraded results must never enter the stage cache.
 
-The resilience layer (PR 1) degrades rather than fails: an index
-crash falls back to a brute-force scan and records the event on a
-:class:`DegradationReport`.  The staged pipeline (PR 2) then promises
-that such tainted outputs are **never cached** — a degraded answer is
-acceptable once, but serving it from the warm path to every future
-query (and every other session) silently converts one transient fault
-into permanent wrong-ish results.
+The resilience layer (PR 1) degrades rather than fails: a failed
+acceleration structure falls back to a brute-force scan and records
+the event on a :class:`DegradationReport`.  The staged pipeline (PR 2)
+then promises that such tainted outputs are **never cached** — a
+degraded answer is acceptable once, but serving it from the warm path
+to every future query (and every other session) silently converts one
+transient fault into permanent wrong-ish results.
 
 Two syntactic shapes are flagged:
 

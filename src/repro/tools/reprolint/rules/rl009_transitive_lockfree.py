@@ -15,7 +15,7 @@ violates.
 
 The ``allowed`` option lists reviewed exceptions by qualname/module
 prefix — by-design bounded primitives whose rationale lives in
-DESIGN.md §14 (sharded cache micro-mutexes, the guarded obs facade,
+DESIGN.md §14 (the stage cache's one micro-mutex, the guarded obs facade,
 the session-private journal append).  Chains are pruned at an allowed
 callee: nothing it reaches is attributed to the root.
 """

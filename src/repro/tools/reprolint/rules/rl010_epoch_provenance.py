@@ -1,7 +1,7 @@
 """RL010 — values from different epoch pins never meet in one operation.
 
 PR 7/8 made every query run against one immutable :class:`EpochSnapshot`
-(dataset + index + pyramid pinned together).  Correctness depends on
+(dataset + pyramid + engine pinned together).  Correctness depends on
 *provenance*: rows gathered through one snapshot's pyramid must never be
 combined with masks, indexes, or tables resolved from a different pin —
 across a rollover those describe different physical arenas, and mixing

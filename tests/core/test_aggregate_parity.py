@@ -3,18 +3,18 @@
 The acceptance contract of the summary-pyramid refactor: for every
 query the aggregate plan (``agg_temporal → agg_spatial → agg_brush →
 classify → drilldown``) must return **bit-identical** results to the
-legacy per-segment route — same ``segment_mask``, same ``traj_mask``,
+linear per-segment route — same ``segment_mask``, same ``traj_mask``,
 same ``traj_highlight_time``, same ``group_support``.  The pyramid is
 allowed to skip work (supernodes classified all-in/all-out), never to
 change an answer: inconclusive nodes drill down to the *same* float
-expressions the legacy kernels evaluate, so equality here is exact
+expressions the linear kernels evaluate, so equality here is exact
 array equality, not allclose.
 
 The harness sweeps seeded randomized specs (multi-stamp strokes at
 random positions/radii; fractional, absolute, and no-op windows;
-grouped layout assignments) at two synthetic scales, comparing a
-default legacy engine against an aggregate engine over the same
-dataset.
+grouped layout assignments) at two synthetic scales, comparing the
+linear engine (``use_index=False``, the oracle) against the default
+aggregate engine over the same dataset.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ SCALES = {"small-60": (60, 21), "paper-150": (150, 7)}
 def engine_pair(request):
     n_traj, seed = SCALES[request.param]
     ds = generate_study_dataset(AntStudyConfig(n_trajectories=n_traj, seed=seed))
-    legacy = CoordinatedBrushingEngine(ds)
-    agg = CoordinatedBrushingEngine(ds, use_aggregate=True)
+    legacy = CoordinatedBrushingEngine(ds, use_index=False)
+    agg = CoordinatedBrushingEngine(ds)
     assert agg.pyramid is not None, agg._pyramid_error
     return ds, legacy, agg
 
@@ -97,7 +97,7 @@ class TestExactParity:
             asg = assignment if trial % 4 == 0 else None
             res_legacy = legacy.query(canvas, "red", window=window, assignment=asg)
             res_agg = agg.query(canvas, "red", window=window, assignment=asg)
-            assert res_legacy.trace.strategy in ("indexed", "brute-force")
+            assert res_legacy.trace.strategy == "brute-force"
             if res_agg.trace.strategy == "aggregate":
                 n_aggregate_routed += 1
             _assert_identical(res_legacy, res_agg)

@@ -1,21 +1,25 @@
-"""ShardedStageCache: parity with the single cache, and thread safety.
+"""StageCache under concurrency: one lock, exact counters, bounded size.
 
-The sharded cache is a drop-in for :class:`StageCache` with one extra
-property — concurrent callers are safe — and these tests pin the
-"drop-in" half precisely: identical hit/miss/taint behavior per key
-(a key always lands on one shard, so per-key semantics cannot differ),
-exact counter conservation under concurrency, and the epoch-in-key
-staleness story surviving the stripe split (old-epoch entries are
-unreachable by new-epoch keys and eagerly droppable across shards).
+The multi-tenant service hands every session's engine the same
+:class:`StageCache`, so concurrent callers must be safe.  These tests
+pin that precisely: eight threads driving the cache observe exactly the
+per-key outcomes a single thread would (nothing torn or lost, every
+lookup one hit or one miss), the LRU never holds more than its
+capacity, and the epoch-in-key staleness story holds on the shared
+cache (old-epoch entries are unreachable by new-epoch keys and eagerly
+droppable).
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
-from repro.core.plan.cache import ShardedStageCache, StageCache
+from repro.core.plan.cache import StageCache
+
+N_THREADS = 8
 
 
 def _key(stage: str, ds_epoch: int, extra: int = 0) -> tuple:
@@ -23,76 +27,127 @@ def _key(stage: str, ds_epoch: int, extra: int = 0) -> tuple:
     return (stage, ("ds", ds_epoch), ("cv", extra))
 
 
+def _run_threads(work) -> None:
+    """Run ``work(tid)`` on ``N_THREADS`` threads released together,
+    with a shortened switch interval so threads interleave inside cache
+    operations; fail on any error or on a thread still running after
+    the timeout."""
+    barrier = threading.Barrier(N_THREADS)
+    errors: list[BaseException] = []
+
+    def body(tid: int) -> None:
+        try:
+            barrier.wait(timeout=30)
+            work(tid)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=body, args=(t,)) for t in range(N_THREADS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
 class TestConstruction:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ShardedStageCache(0)
-        with pytest.raises(ValueError):
-            ShardedStageCache(8, shards=0)
+            StageCache(0)
 
     def test_shard_count_and_capacity(self):
-        cache = ShardedStageCache(100, shards=8)
-        assert cache.n_shards == 8
+        """One lock, no shards: the capacity is exactly the one asked
+        for, and concurrent overflow never exceeds it."""
+        cache = StageCache(100)
         assert cache.capacity == 100
-        # per-shard capacity is ceil(100/8): aggregate >= requested
-        assert sum(s.capacity for s in cache._shards) >= 100
+
+        def work(tid: int) -> None:
+            for i in range(60):
+                cache.put(_key("s", tid, i), i)
+                assert len(cache) <= 100
+
+        _run_threads(work)
+        assert len(cache) == 100
+        assert cache.stats.evictions == N_THREADS * 60 - 100
 
     def test_single_shard_degenerates_to_plain_cache_semantics(self):
-        single = StageCache(16)
-        sharded = ShardedStageCache(16, shards=1)
-        for i in range(20):  # overflows capacity: identical LRU eviction
-            single.put(_key("s", 0, i), i)
-            sharded.put(_key("s", 0, i), i)
-        assert single.keys() == sharded.keys()
-        assert single.stats.evictions == sharded.stats.evictions
+        """The one-lock cache keeps plain LRU order: overflow evicts the
+        least recently used keys first."""
+        cache = StageCache(16)
+        for i in range(20):
+            cache.put(_key("s", 0, i), i)
+        assert cache.keys() == [_key("s", 0, i) for i in range(4, 20)]
+        assert cache.stats.evictions == 4
 
 
 class TestParityWithSingleCache:
-    """Same operation sequence, same per-key outcomes (no eviction)."""
+    """The same operation sequence gives the same per-key outcomes
+    whether one thread drives the cache or eight do (disjoint keys, no
+    eviction)."""
 
-    def _drive(self, cache) -> list:
+    def _drive(self, cache, tid: int = 0) -> list:
         observed = []
         for i in range(30):
-            key = _key("temporal_mask", 3, i % 10)
+            key = _key("temporal_mask", tid, i % 10)
             value, found = cache.lookup(key)
             if not found:
                 cache.put(key, i % 10)
                 value = i % 10
-            observed.append((key, value))
+            observed.append((key, value, found))
         return observed
 
     def test_hit_miss_parity(self):
-        single, sharded = StageCache(64), ShardedStageCache(64, shards=8)
-        assert self._drive(single) == self._drive(sharded)
-        assert single.stats.hits == sharded.stats.hits == 20
-        assert single.stats.misses == sharded.stats.misses == 10
-        assert len(single) == len(sharded) == 10
-        assert single.stats.hit_rate == sharded.stats.hit_rate
-        for key, value in self._drive(single):
-            assert key in sharded
-            assert sharded.get(key) == value
+        serial = StageCache(1024)
+        want = {tid: self._drive(serial, tid) for tid in range(N_THREADS)}
+        shared = StageCache(1024)
+        got: dict[int, list] = {}
+
+        def work(tid: int) -> None:
+            got[tid] = self._drive(shared, tid)
+
+        _run_threads(work)
+        assert got == want
+        for cache in (serial, shared):
+            assert cache.stats.hits == N_THREADS * 20
+            assert cache.stats.misses == N_THREADS * 10
+            assert len(cache) == N_THREADS * 10
+        assert sorted(serial.keys()) == sorted(shared.keys())
 
     def test_taint_parity_invalidate_by_epoch(self):
-        single, sharded = StageCache(64), ShardedStageCache(64, shards=8)
-        for cache in (single, sharded):
-            for e in (1, 1, 2, 2, 2):
-                for i in range(3):
-                    cache.put(_key("combine", e, i), (e, i))
-        # eager drop of everything not at epoch 2, across all shards
-        assert single.invalidate(dataset_epoch=2) == sharded.invalidate(
+        serial, shared = StageCache(1024), StageCache(1024)
+
+        def fill(cache, tid: int) -> None:
+            for i in range(6):
+                cache.put(_key("combine", 1 + tid % 2, tid * 10 + i), (tid, i))
+
+        for tid in range(N_THREADS):
+            fill(serial, tid)
+        _run_threads(lambda tid: fill(shared, tid))
+        # eager drop of everything not at epoch 2
+        assert serial.invalidate(dataset_epoch=2) == shared.invalidate(
             dataset_epoch=2
-        )
-        assert sorted(single.keys()) == sorted(sharded.keys())
-        assert all(k[1] == ("ds", 2) for k in sharded.keys())
-        assert single.stats.invalidations == sharded.stats.invalidations
+        ) == N_THREADS // 2 * 6
+        assert sorted(serial.keys()) == sorted(shared.keys())
+        assert all(k[1] == ("ds", 2) for k in shared.keys())
+        assert serial.stats.invalidations == shared.stats.invalidations
 
     def test_clear_parity(self):
-        sharded = ShardedStageCache(64, shards=8)
-        for i in range(12):
-            sharded.put(_key("s", 0, i), i)
-        sharded.clear()
-        assert len(sharded) == 0
-        assert sharded.stats.invalidations == 12
+        shared = StageCache(1024)
+
+        def work(tid: int) -> None:
+            for i in range(12):
+                shared.put(_key("s", tid, i), i)
+
+        _run_threads(work)
+        shared.clear()
+        assert len(shared) == 0
+        assert shared.stats.invalidations == N_THREADS * 12
 
 
 class TestStaleEpochEntries:
@@ -100,7 +155,7 @@ class TestStaleEpochEntries:
         """The rollover story: epoch-tagged keys make pre-swap entries
         invisible to post-swap queries — no flush required — while a
         pinned old-epoch session still hits them."""
-        cache = ShardedStageCache(64, shards=8)
+        cache = StageCache(64)
         old, new = 7, 12
         cache.put(_key("aggregate", old), "old-epoch-output")
         # a new-epoch query computes a *different* key: structural miss
@@ -118,58 +173,37 @@ class TestConcurrency:
     def test_counter_conservation_under_concurrent_load(self):
         """8 threads, disjoint key ranges: totals are exact (every
         lookup is one hit or one miss, nothing torn or lost)."""
-        cache = ShardedStageCache(1024, shards=8)
-        n_threads, per_thread = 8, 200
-        barrier = threading.Barrier(n_threads)
-        errors: list[BaseException] = []
+        cache = StageCache(1024)
+        per_thread = 200
 
-        def work(tid: int):
-            try:
-                barrier.wait()
-                for i in range(per_thread):
-                    key = _key(f"stage-{tid}", tid, i % 50)
-                    value, found = cache.lookup(key)
-                    if found:
-                        assert value == (tid, i % 50)
-                    else:
-                        cache.put(key, (tid, i % 50))
-            except BaseException as exc:
-                errors.append(exc)
+        def work(tid: int) -> None:
+            for i in range(per_thread):
+                key = _key(f"stage-{tid}", tid, i % 50)
+                value, found = cache.lookup(key)
+                if found:
+                    assert value == (tid, i % 50)
+                else:
+                    cache.put(key, (tid, i % 50))
 
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert errors == []
+        _run_threads(work)
         stats = cache.stats
-        assert stats.hits + stats.misses == n_threads * per_thread
+        assert stats.hits + stats.misses == N_THREADS * per_thread
         # disjoint ranges, ample capacity: exactly 50 misses per thread
-        assert stats.misses == n_threads * 50
+        assert stats.misses == N_THREADS * 50
         assert stats.evictions == 0
-        assert len(cache) == n_threads * 50
+        assert len(cache) == N_THREADS * 50
 
     def test_concurrent_same_key_last_put_wins_consistently(self):
         """Contending on one key never corrupts: every get returns some
         thread's complete value, never a torn mix."""
-        cache = ShardedStageCache(16, shards=4)
+        cache = StageCache(16)
         key = _key("hot", 1)
-        barrier = threading.Barrier(8)
-        errors: list[BaseException] = []
 
-        def work(tid: int):
-            try:
-                barrier.wait()
-                for i in range(200):
-                    cache.put(key, (tid, i))
-                    got = cache.get(key)
-                    assert isinstance(got, tuple) and len(got) == 2
-            except BaseException as exc:
-                errors.append(exc)
+        def work(tid: int) -> None:
+            for i in range(200):
+                cache.put(key, (tid, i))
+                got = cache.get(key)
+                assert isinstance(got, tuple) and len(got) == 2
 
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert errors == []
+        _run_threads(work)
+        assert len(cache) == 1

@@ -1,13 +1,13 @@
 """Property tests pinning the vectorized query kernels to scalar oracles.
 
-The bitset-mask spatial path (PR 10) rewrites two hot kernels —
-``candidates_for_discs`` (CSR gather-and-unique → word-wise bitset OR)
-and the ``brush_hit`` stage (per-row scalar test → bbox-prefiltered
-vectorized capsule test).  Hypothesis drives randomized segment sets
-and brush stamps through both implementations and their scalar
-references; any byte of disagreement is a failed property.  Directed
-cases cover the degenerate corners the randomized sweep may under-hit:
-empty brushes, full-cover brushes, and single-segment cells.
+The ``brush_hit`` drill-down kernel (per-row scalar test →
+bbox-prefiltered vectorized capsule test) is checked against its scalar
+reference in :mod:`tests.core.oracles`, and the pyramid-backed route
+(``use_index=True``) against the linear route end to end.  Hypothesis
+drives randomized segment sets and brush stamps through both
+implementations; any byte of disagreement is a failed property.
+Directed cases cover the degenerate corners the randomized sweep may
+under-hit: empty brushes, full-cover brushes, and single-segment cells.
 """
 
 from __future__ import annotations
@@ -17,13 +17,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregate.kernels import (
-    brush_hit_mask,
-    brush_hit_rows,
-    brush_hit_rows_scalar,
-)
-from repro.core.spatial_index import UniformGridIndex
-from repro.trajectory.dataset import PackedSegments
+from repro.core.aggregate import SummaryPyramid
+from repro.core.aggregate.kernels import brush_hit_rows
+from repro.core.brush import BrushStroke
+from repro.core.canvas import BrushCanvas
+from repro.core.engine import CoordinatedBrushingEngine
+from repro.trajectory.dataset import PackedSegments, TrajectoryDataset
+from repro.trajectory.model import Trajectory
+
+from .oracles import brush_hit_rows_scalar
 
 _coord = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False, width=64)
 
@@ -74,44 +76,52 @@ def test_brush_hit_rows_matches_scalar_oracle(packed, brush):
         )
 
 
-@given(packed_segments(), brushes(), st.integers(1, 12))
+@st.composite
+def polylines(draw, max_trajectories: int = 1) -> TrajectoryDataset:
+    """Random polyline trajectories (1-32 connected segments each)."""
+    trajs = []
+    for _ in range(draw(st.integers(1, max_trajectories))):
+        n = draw(st.integers(2, 33))
+        pts = draw(hnp.arrays(np.float64, (n, 2), elements=_coord))
+        trajs.append(Trajectory(pts, np.arange(float(n))))
+    return TrajectoryDataset(trajs)
+
+
+@given(polylines(max_trajectories=70), st.integers(1, 12))
 @settings(max_examples=25, deadline=None)
-def test_bitset_candidates_match_csr_oracle(packed, brush, res):
+def test_bitset_candidates_match_csr_oracle(dataset, res):
+    """The pyramid's per-cell trajectory bitsets answer "which
+    trajectories touch these cells" exactly as a CSR gather of the
+    cells' member rows does."""
+    packed = dataset.packed()
+    pyramid = SummaryPyramid.build(packed, dataset, res=res, levels=(res,))
+    for cells in (np.arange(res * res), np.arange(0, res * res, 3), np.arange(0)):
+        want = np.zeros(len(dataset), dtype=bool)
+        want[packed.owner[pyramid.rows_in_cells(cells)]] = True
+        np.testing.assert_array_equal(pyramid.trajectories_in_cells(cells), want)
+
+
+def _canvas(centers: np.ndarray, radii: np.ndarray) -> BrushCanvas:
+    canvas = BrushCanvas()
+    for c, r in zip(centers, radii):
+        canvas.add(BrushStroke(c[None, :], float(r), "red"))
+    return canvas
+
+
+@given(polylines(), brushes())
+@settings(max_examples=25, deadline=None)
+def test_indexed_mask_matches_brute_force(dataset, brush):
+    """Conservativeness end to end: pruning rows through the summary
+    pyramid never changes the verdict of any segment."""
     centers, radii = brush
-    index = UniformGridIndex(packed, res=res)
+    canvas = _canvas(centers, np.maximum(radii, 1e-3))
+    indexed = CoordinatedBrushingEngine(dataset)
+    assert indexed.pyramid is not None
+    linear = CoordinatedBrushingEngine(dataset, use_index=False)
     np.testing.assert_array_equal(
-        index.candidates_for_discs(centers, radii),
-        index.candidates_for_discs_scalar(centers, radii),
+        indexed.query(canvas, "red").segment_mask,
+        linear.query(canvas, "red").segment_mask,
     )
-
-
-@given(packed_segments(), brushes())
-@settings(max_examples=25, deadline=None)
-def test_indexed_mask_matches_brute_force(packed, brush):
-    """Conservativeness end to end: pruning rows through the bitset
-    candidates never changes the stage verdict of any row."""
-    centers, radii = brush
-    index = UniformGridIndex(packed, res=8)
-    candidates = index.candidates_for_discs(centers, radii)
-    np.testing.assert_array_equal(
-        brush_hit_mask(centers, radii, packed, candidates),
-        brush_hit_mask(centers, radii, packed, None),
-    )
-
-
-@given(packed_segments(), brushes())
-@settings(max_examples=25, deadline=None)
-def test_union_mask_cache_is_idempotent(packed, brush):
-    """The second call answers from the per-cell bitset cache; it must
-    be indistinguishable from the cold build."""
-    centers, radii = brush
-    index = UniformGridIndex(packed, res=4)
-    cells = index.touched_cells_for_discs(centers, radii)
-    bitsets = index.bitsets()
-    cold = bitsets.union_mask(cells)
-    warm = bitsets.union_mask(cells)
-    np.testing.assert_array_equal(cold, warm)
-    assert index.bitsets() is bitsets  # memoized on the index
 
 
 class TestDirectedCorners:
@@ -129,33 +139,31 @@ class TestDirectedCorners:
         packed = self._packed()
         empty_c = np.empty((0, 2))
         empty_r = np.empty(0)
-        index = UniformGridIndex(packed, res=8)
-        assert len(index.candidates_for_discs(empty_c, empty_r)) == 0
-        assert not brush_hit_mask(empty_c, empty_r, packed).any()
-        assert not brush_hit_rows_scalar(
-            empty_c, empty_r, packed, np.arange(packed.n_segments)
-        ).any()
+        rows = np.arange(packed.n_segments)
+        assert not brush_hit_rows(empty_c, empty_r, packed, rows).any()
+        assert not brush_hit_rows_scalar(empty_c, empty_r, packed, rows).any()
 
     def test_full_cover_brush_hits_everything(self):
         packed = self._packed()
         centers = np.array([[0.0, 0.5]])
         radii = np.array([100.0])
-        index = UniformGridIndex(packed, res=8)
-        candidates = index.candidates_for_discs(centers, radii)
-        np.testing.assert_array_equal(
-            candidates, np.arange(packed.n_segments, dtype=np.int64)
-        )
-        assert brush_hit_mask(centers, radii, packed, candidates).all()
+        rows = np.arange(packed.n_segments)
+        assert brush_hit_rows(centers, radii, packed, rows).all()
+        assert brush_hit_rows_scalar(centers, radii, packed, rows).all()
 
     def test_single_segment_cells(self):
-        packed = self._packed(n=1)
-        index = UniformGridIndex(packed, res=1)
+        """A one-segment dataset: every occupied pyramid cell holds a
+        single row, and both routes agree with the oracle."""
+        dataset = TrajectoryDataset(
+            [Trajectory(np.array([[-1.0, 0.0], [-1.0, 1.0]]), np.array([0.0, 1.0]))]
+        )
+        packed = dataset.packed()
         centers = np.array([[-1.0, 0.0]])
         radii = np.array([0.05])
-        np.testing.assert_array_equal(
-            index.candidates_for_discs(centers, radii),
-            index.candidates_for_discs_scalar(centers, radii),
-        )
-        bitsets = index.bitsets()
-        words = bitsets.words_of(0)
-        assert words.dtype == np.uint64 and not words.flags.writeable
+        want = brush_hit_rows_scalar(centers, radii, packed, np.arange(1))
+        canvas = _canvas(centers, radii)
+        for use_index in (True, False):
+            engine = CoordinatedBrushingEngine(dataset, use_index=use_index)
+            np.testing.assert_array_equal(
+                engine.query(canvas, "red").segment_mask, want
+            )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.aggregate import SummaryPyramid
 from repro.core.brush import BrushStroke, stroke_from_rect
 from repro.core.canvas import BrushCanvas
 from repro.core.engine import CoordinatedBrushingEngine
@@ -13,6 +14,7 @@ from repro.core.plan import (
     StageCache,
     StageRecord,
 )
+from repro.core.plan.planner import STAGE_ORDER
 from repro.core.temporal import TimeWindow
 from repro.layout.cells import assign_groups_to_cells
 from repro.layout.configs import preset
@@ -21,8 +23,24 @@ from repro.layout.groups import TrajectoryGroups
 
 @pytest.fixture()
 def engine(study_dataset):
-    """A fresh engine per test: stage-cache state must not leak."""
-    return CoordinatedBrushingEngine(study_dataset)
+    """A fresh linear-route engine per test (its stage DAG is
+    ``temporal_mask → brush_hit → combine → aggregate``): stage-cache
+    state must not leak."""
+    return CoordinatedBrushingEngine(study_dataset, use_index=False)
+
+
+@pytest.fixture()
+def failed_engine(study_dataset, monkeypatch):
+    """An engine whose summary-pyramid build raised: every query runs
+    the linear route and is degraded."""
+
+    def boom(*args, **kwargs):
+        raise MemoryError("no memory for the pyramid")
+
+    monkeypatch.setattr(SummaryPyramid, "build", boom)
+    engine = CoordinatedBrushingEngine(study_dataset)
+    assert engine.pyramid is None
+    return engine
 
 
 @pytest.fixture()
@@ -33,10 +51,9 @@ def west_canvas(arena):
     return c
 
 
-def _spec(canvas, dataset, color="red", window=None, assignment=None, use_index=True):
+def _spec(canvas, dataset, color="red", window=None, assignment=None):
     return QuerySpec.capture(
-        dataset, canvas, color, window or TimeWindow.all(), assignment,
-        use_index=use_index,
+        dataset, canvas, color, window or TimeWindow.all(), assignment
     )
 
 
@@ -107,30 +124,60 @@ class TestStageCache:
     def test_invalidate_canvas_epoch_spares_temporal(self):
         cache = StageCache()
         cache.put(("temporal_mask", ("ds", 1), ("win", ("*",))), "t")
-        cache.put(("brush_hit", ("ds", 1), ("cv", (1, 3)), "red", "indexed"), "b")
+        cache.put(("brush_hit", ("ds", 1), ("cv", (1, 3)), "red", "brute-force"), "b")
         dropped = cache.invalidate(canvas_epoch=(1, 4))
         assert dropped == 1  # brush stage dropped, temporal kept
         assert len(cache) == 1
 
 
 class TestPlanner:
-    def test_indexed_plan_shape(self, engine, west_canvas):
+    def test_indexed_plan_shape(self, study_dataset, west_canvas):
+        """``use_index=True`` (the default) plans the pyramid route."""
+        engine = CoordinatedBrushingEngine(study_dataset)
         plan = engine.plan(west_canvas, "red", window=TimeWindow.end(0.2))
-        assert plan.strategy == "indexed"
+        assert plan.strategy == "aggregate"
         assert plan.stage_names() == (
-            "temporal_mask", "spatial_candidates", "brush_hit", "combine", "aggregate",
+            "agg_temporal", "agg_spatial", "agg_brush", "classify",
+            "drilldown", "aggregate",
         )
 
-    def test_brute_force_plan(self, study_dataset, west_canvas):
-        engine = CoordinatedBrushingEngine(study_dataset, use_index=False)
+    def test_brute_force_plan(self, engine, west_canvas):
         plan = engine.plan(west_canvas, "red")
         assert plan.strategy == "brute-force"
-        assert "spatial_candidates" not in plan
+        assert plan.stage_names() == (
+            "temporal_mask", "brush_hit", "combine", "aggregate",
+        )
 
     def test_empty_brush_plan(self, engine):
         plan = engine.plan(BrushCanvas(), "red")
         assert plan.strategy == "empty-brush"
-        assert "spatial_candidates" not in plan
+        assert "agg_spatial" not in plan
+
+    @pytest.mark.parametrize(
+        "use_index, painted, strategy",
+        [
+            (True, True, "aggregate"),
+            (False, True, "brute-force"),
+            (True, False, "empty-brush"),
+            (False, False, "empty-brush"),
+        ],
+    )
+    def test_route_selection(
+        self, study_dataset, west_canvas, use_index, painted, strategy
+    ):
+        """Exactly three strategies: a pyramid engine plans ``aggregate``,
+        the linear engine ``brute-force``, an empty brush
+        ``empty-brush`` on either."""
+        engine = CoordinatedBrushingEngine(study_dataset, use_index=use_index)
+        canvas = west_canvas if painted else BrushCanvas()
+        plan = engine.plan(canvas, "red")
+        assert plan.strategy == strategy
+        assert engine.query(canvas, "red").trace.strategy == strategy
+        assert STAGE_ORDER == (
+            "temporal_mask", "brush_hit", "agg_temporal", "agg_spatial",
+            "agg_brush", "classify", "drilldown", "combine", "aggregate",
+            "group_support",
+        )
 
     def test_group_support_needs_assignment(self, engine, west_canvas, study_dataset, viewport):
         grid = preset("2").build(viewport)
@@ -150,7 +197,6 @@ class TestPlanner:
         assert key["temporal_mask"] != key2["temporal_mask"]
         assert key["combine"] != key2["combine"]
         assert key["aggregate"] != key2["aggregate"]
-        assert key["spatial_candidates"] == key2["spatial_candidates"]
         assert key["brush_hit"] == key2["brush_hit"]
 
     def test_dag_validation(self):
@@ -169,7 +215,7 @@ class TestIncrementalExecution:
         assert res.trace is not None
         assert res.trace.cache_hits == 0
         assert res.trace.executed_stages() == [
-            "temporal_mask", "spatial_candidates", "brush_hit", "combine", "aggregate",
+            "temporal_mask", "brush_hit", "combine", "aggregate",
         ]
 
     def test_slider_only_requery_is_incremental(self, engine, west_canvas):
@@ -178,7 +224,6 @@ class TestIncrementalExecution:
         engine.query(west_canvas, "red", window=TimeWindow.end(0.2))
         res = engine.query(west_canvas, "red", window=TimeWindow.end(0.25))
         assert res.trace.executed_stages() == ["temporal_mask", "combine", "aggregate"]
-        assert res.trace["spatial_candidates"].cache_hit
         assert res.trace["brush_hit"].cache_hit
 
     def test_identical_requery_is_fully_cached(self, engine, west_canvas):
@@ -231,7 +276,6 @@ class TestCacheInvalidationEdges:
         res = engine.query(west_canvas, "red", window=w)
         # spatial stages re-run (epoch moved), temporal mask reused
         assert not res.trace["brush_hit"].cache_hit
-        assert not res.trace["spatial_candidates"].cache_hit
         assert res.trace["temporal_mask"].cache_hit
 
     def test_skip_loaded_dataset_has_epoch(self, tmp_path):
@@ -257,9 +301,7 @@ class TestCacheInvalidationEdges:
         ds = io.load_csv(path, on_error="skip")
         canvas = BrushCanvas()
         canvas.add(BrushStroke(np.array([[0.5, 0.0]]), 0.6, "red"))
-        spec_before = QuerySpec.capture(
-            ds, canvas, "red", TimeWindow.all(), None, use_index=True
-        )
+        spec_before = QuerySpec.capture(ds, canvas, "red", TimeWindow.all(), None)
         t = np.linspace(0.0, 5.0, 6)
         ds.append(
             Trajectory(
@@ -267,41 +309,37 @@ class TestCacheInvalidationEdges:
                 t, TrajectoryMeta(), -1,
             )
         )
-        spec_after = QuerySpec.capture(
-            ds, canvas, "red", TimeWindow.all(), None, use_index=True
-        )
+        spec_after = QuerySpec.capture(ds, canvas, "red", TimeWindow.all(), None)
         assert spec_after.dataset_epoch > spec_before.dataset_epoch
-        planner = QueryPlanner(index_token=("idx",))
+        planner = QueryPlanner()
         keys_before = {s.name: s.key for s in planner.plan(spec_before).stages}
         keys_after = {s.name: s.key for s in planner.plan(spec_after).stages}
         assert all(keys_before[n] != keys_after[n] for n in keys_before)
 
-    def test_degraded_result_never_cached(self, engine, west_canvas):
-        class _SabotagedIndex:
-            def candidates_for_discs(self, centers, radii):
-                raise RuntimeError("index sabotaged")
-
-        engine.index = _SabotagedIndex()
+    def test_degraded_result_never_cached(self, failed_engine, west_canvas):
+        engine = failed_engine
         w = TimeWindow.end(0.2)
         first = engine.query(west_canvas, "red", window=w)
         assert first.degraded
-        assert not any(k[0] in ("spatial_candidates", "brush_hit") for k in engine.cache.keys())
+        assert not any(k[0] == "brush_hit" for k in engine.cache.keys())
         # the re-query must recompute (and degrade again), not serve a
         # poisoned entry
         second = engine.query(west_canvas, "red", window=w)
         assert second.degraded
         assert not second.trace["brush_hit"].cache_hit
-        # temporal mask is index-independent: cached despite degradation
+        # the temporal mask does not depend on the failed pyramid:
+        # cached despite degradation
         assert second.trace["temporal_mask"].cache_hit
 
-    def test_index_build_failure_not_cached(self, study_dataset, west_canvas):
-        engine = CoordinatedBrushingEngine(study_dataset, use_index=True)
-        engine.index = None
-        engine._index_error = "RuntimeError('no memory')"
-        res = engine.query(west_canvas, "red")
+    def test_index_build_failure_not_cached(self, failed_engine, west_canvas):
+        """The ``use_index`` structure (the pyramid) failed to build: the
+        linear fallback's hit-test is tainted, so it never enters the
+        cache."""
+        res = failed_engine.query(west_canvas, "red")
         assert res.degraded
         assert res.trace["brush_hit"].degraded
-        assert not any(k[0] == "brush_hit" for k in engine.cache.keys())
+        assert res.trace.strategy == "brute-force"
+        assert not any(k[0] == "brush_hit" for k in failed_engine.cache.keys())
 
 
 class TestTraceAndResult:
@@ -329,17 +367,12 @@ class TestTraceAndResult:
         text = repr(res)
         assert "QueryResult[red]" in text
         assert f"{res.n_highlighted}/{res.n_displayed}" in text
-        assert "stages=5" in text
+        assert "stages=4" in text
         assert "degraded" not in text
 
-    def test_repr_shows_degradation(self, engine, west_canvas):
-        class _SabotagedIndex:
-            def candidates_for_discs(self, centers, radii):
-                raise RuntimeError("boom")
-
-        engine.index = _SabotagedIndex()
-        res = engine.query(west_canvas, "red")
-        assert "degraded[index-failure]" in repr(res)
+    def test_repr_shows_degradation(self, failed_engine, west_canvas):
+        res = failed_engine.query(west_canvas, "red")
+        assert "degraded[pyramid-build-failure]" in repr(res)
 
     def test_trace_describe_is_one_line(self, engine, west_canvas):
         res = engine.query(west_canvas, "red")
@@ -389,12 +422,12 @@ class TestSessionTraceJournal:
         # a session query always carries a layout assignment, so the
         # plan ends with the (empty-scheme) group_support stage
         assert queries[0]["detail"]["stages_executed"] == [
-            "temporal_mask", "spatial_candidates", "brush_hit", "combine",
-            "aggregate", "group_support",
+            "agg_temporal", "agg_spatial", "agg_brush", "classify",
+            "drilldown", "aggregate", "group_support",
         ]
         # the slider-only second query is incremental in the journal too
         assert queries[1]["detail"]["stages_executed"] == [
-            "temporal_mask", "combine", "aggregate", "group_support",
+            "agg_temporal", "classify", "drilldown", "aggregate", "group_support",
         ]
         assert "trace" in queries[0]["detail"]
 
@@ -466,8 +499,7 @@ class TestDeadline:
         from repro.resilience.health import DegradationReport
 
         spec = _spec(west_canvas, engine.dataset)
-        plan = engine.planner.plan(spec, index_token=engine._index_token())
-        engine.executor.index = engine.index
+        plan = engine.planner.plan(spec)
         # first boundary check passes, second one expires
         deadline = self._deadline(1.0, expire_after_checks=1)
         trace = QueryTrace(strategy=plan.strategy)
@@ -480,9 +512,7 @@ class TestDeadline:
         cached_stages = {k[0] for k in engine.cache.keys()}
         assert cached_stages == {"temporal_mask"}  # the one completed stage
         degraded_stages = [s.stage for s in trace.stages if s.degraded]
-        assert degraded_stages == [
-            "spatial_candidates", "brush_hit", "combine", "aggregate",
-        ]
+        assert degraded_stages == ["brush_hit", "combine", "aggregate"]
 
     def test_deadline_excluded_from_cache_identity(self, engine, west_canvas):
         """A budget changes *when* a query may be cut short, never *what*

@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
+from repro.core.aggregate import SummaryPyramid
 from repro.core.brush import stroke_from_rect
 from repro.core.canvas import BrushCanvas
 from repro.core.engine import CoordinatedBrushingEngine
@@ -24,13 +25,14 @@ from repro.parallel.pool import WorkerPool
 from repro.resilience.health import DegradationReport
 from repro.store.service import DatasetService
 
-# the planned stage sequence for an indexed query without a cell
-# assignment (group_support is planned only when cells are assigned)
+# the planned stage sequence for an aggregate-route query without a
+# cell assignment (group_support is planned only when cells are assigned)
 STAGES = [
-    "temporal_mask",
-    "spatial_candidates",
-    "brush_hit",
-    "combine",
+    "agg_temporal",
+    "agg_spatial",
+    "agg_brush",
+    "classify",
+    "drilldown",
     "aggregate",
 ]
 
@@ -45,6 +47,16 @@ def west_canvas(arena):
         )
     )
     return c
+
+
+def _failed_engine(dataset, monkeypatch) -> CoordinatedBrushingEngine:
+    """An engine whose pyramid build raised: linear route, degraded."""
+
+    def boom(*args, **kwargs):
+        raise MemoryError("no memory for the pyramid")
+
+    monkeypatch.setattr(SummaryPyramid, "build", boom)
+    return CoordinatedBrushingEngine(dataset)
 
 
 def _trace_shape(trace):
@@ -76,20 +88,16 @@ class TestTraceParity:
         assert len(hits) == warm.cache_hits > 0
         assert all(r.elapsed_s == 0.0 for r in hits)
 
-    def test_degraded_trace_taint_flags(self, study_dataset, west_canvas):
-        class _SabotagedIndex:
-            def candidates_for_discs(self, centers, radii):
-                raise RuntimeError("index sabotaged")
-
-        engine = CoordinatedBrushingEngine(study_dataset)
-        engine.index = _SabotagedIndex()
+    def test_degraded_trace_taint_flags(
+        self, study_dataset, west_canvas, monkeypatch
+    ):
+        engine = _failed_engine(study_dataset, monkeypatch)
         trace = engine.query(west_canvas, "red", window=TimeWindow.end(0.2)).trace
         flags = {r.stage: r.degraded for r in trace.stages}
-        # the failing stage and everything downstream of it is tainted;
-        # the temporal mask is index-independent and stays clean
+        # the degraded stage and everything downstream of it is tainted;
+        # the temporal mask does not depend on the pyramid and stays clean
         assert flags == {
             "temporal_mask": False,
-            "spatial_candidates": True,
             "brush_hit": True,
             "combine": True,
             "aggregate": True,
@@ -127,8 +135,8 @@ class TestEmission:
         engine = CoordinatedBrushingEngine(study_dataset)
         engine.query(west_canvas, "red", window=TimeWindow.end(0.2))
         snap = obs.telemetry_snapshot()
-        assert snap.counter("query.count", strategy="indexed") == 1.0
-        hist = snap.histogram("query.seconds", strategy="indexed")
+        assert snap.counter("query.count", strategy="aggregate") == 1.0
+        hist = snap.histogram("query.seconds", strategy="aggregate")
         assert hist is not None and hist.count == 1
         # cold query: every stage missed
         assert snap.counter_total("query.stage.cache_misses") == len(STAGES)
@@ -148,14 +156,9 @@ class TestEmission:
             assert hist is not None and hist.count == 2
 
     def test_degraded_query_emits_taint_counters(
-        self, registry, study_dataset, west_canvas
+        self, registry, study_dataset, west_canvas, monkeypatch
     ):
-        class _SabotagedIndex:
-            def candidates_for_discs(self, centers, radii):
-                raise RuntimeError("index sabotaged")
-
-        engine = CoordinatedBrushingEngine(study_dataset)
-        engine.index = _SabotagedIndex()
+        engine = _failed_engine(study_dataset, monkeypatch)
         res = engine.query(west_canvas, "red", window=TimeWindow.end(0.2))
         snap = obs.telemetry_snapshot()
         assert res.degraded
@@ -235,7 +238,7 @@ class TestAggregateEmission:
     def test_build_and_classification_metrics(
         self, registry, study_dataset, west_canvas
     ):
-        engine = CoordinatedBrushingEngine(study_dataset, use_aggregate=True)
+        engine = CoordinatedBrushingEngine(study_dataset)
         engine.query(west_canvas, "red", window=TimeWindow.end(0.2))
         snap = obs.telemetry_snapshot()
         build = snap.histogram("service.aggregate.build_seconds")
@@ -254,7 +257,7 @@ class TestAggregateEmission:
         )
 
     def test_warm_query_does_not_recount(self, registry, study_dataset, west_canvas):
-        engine = CoordinatedBrushingEngine(study_dataset, use_aggregate=True)
+        engine = CoordinatedBrushingEngine(study_dataset)
         w = TimeWindow.end(0.2)
         engine.query(west_canvas, "red", window=w)
         cold = obs.telemetry_snapshot().counter_total("service.aggregate.supernodes")

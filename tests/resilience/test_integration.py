@@ -6,9 +6,9 @@ accounting*, never results:
 * a seeded 30%-crash fault plan under parallel tile rendering still
   produces bit-identical framebuffers, with every planned fault
   accounted for in the degradation report;
-* a sabotaged spatial index degrades the query engine to the
-  brute-force path — same masks as an unindexed engine, ``degraded``
-  flagged, nothing raised;
+* a failed summary-pyramid build degrades the query engine to the
+  linear path — same masks as a ``use_index=False`` engine,
+  ``degraded`` flagged, nothing raised;
 * a session journal survives a crash (torn final line) and replays to
   the same query answers.
 """
@@ -16,6 +16,7 @@ accounting*, never results:
 import numpy as np
 import pytest
 
+from repro.core.aggregate import SummaryPyramid
 from repro.core.brush import stroke_from_rect
 from repro.core.canvas import BrushCanvas
 from repro.core.engine import CoordinatedBrushingEngine
@@ -107,13 +108,6 @@ class TestRenderingUnderFaults:
         assert report.degradation.n_events == 0
 
 
-class _SabotagedIndex:
-    """Index stub whose candidate lookup always explodes."""
-
-    def candidates_for_discs(self, centers, radii):
-        raise RuntimeError("index sabotaged")
-
-
 class TestEngineDegradation:
     def _canvas(self, arena):
         canvas = BrushCanvas()
@@ -123,33 +117,35 @@ class TestEngineDegradation:
         )
         return canvas
 
-    def test_sabotaged_index_matches_unindexed(self, study_dataset, arena):
-        canvas = self._canvas(arena)
-        window = TimeWindow.end(0.3)
+    def test_pyramid_build_failure_is_not_silent(
+        self, study_dataset, arena, monkeypatch
+    ):
+        """A failed pyramid build is never silent: every query runs the
+        linear route, bit-equal to the oracle, and reports the event."""
+
+        def boom(*args, **kwargs):
+            raise MemoryError("no memory for the pyramid")
+
+        monkeypatch.setattr(SummaryPyramid, "build", boom)
+        engine = CoordinatedBrushingEngine(study_dataset)
         reference = CoordinatedBrushingEngine(study_dataset, use_index=False)
-        sabotaged = CoordinatedBrushingEngine(study_dataset, use_index=True)
-        sabotaged.index = _SabotagedIndex()
-
-        want = reference.query(canvas, "red", window=window)
-        got = sabotaged.query(canvas, "red", window=window)  # must not raise
-
-        np.testing.assert_array_equal(want.segment_mask, got.segment_mask)
-        np.testing.assert_array_equal(want.traj_mask, got.traj_mask)
-        np.testing.assert_allclose(
-            want.traj_highlight_time, got.traj_highlight_time
-        )
-        assert got.degraded
-        assert got.degradation.by_action() == {"degraded-brute-force": 1}
-        assert not want.degraded
-
-    def test_index_build_failure_degrades_every_query(self, study_dataset, arena):
-        engine = CoordinatedBrushingEngine(study_dataset, use_index=True)
-        # simulate a build that failed at construction time
-        engine.index = None
-        engine._index_error = "RuntimeError('no memory for the grid')"
-        result = engine.query(self._canvas(arena), "red")
-        assert result.degraded
-        assert "index-build-failure" in result.degradation.by_kind()
+        canvas = self._canvas(arena)
+        for window in (TimeWindow.all(), TimeWindow.end(0.3), TimeWindow.end(0.3)):
+            want = reference.query(canvas, "red", window=window)
+            got = engine.query(canvas, "red", window=window)
+            np.testing.assert_array_equal(want.segment_mask, got.segment_mask)
+            np.testing.assert_array_equal(want.traj_mask, got.traj_mask)
+            np.testing.assert_array_equal(
+                want.traj_highlight_time, got.traj_highlight_time
+            )
+            assert got.trace.strategy == "brute-force"
+            assert got.degraded
+            assert "pyramid-build-failure" in got.degradation.by_kind()
+            assert got.degradation.by_action() == {"degraded-brute-force": 1}
+            assert not want.degraded
+        # the tainted hit-test is recomputed every time, never cached
+        assert not got.trace["brush_hit"].cache_hit
+        assert not any(k[0] == "brush_hit" for k in engine.cache.keys())
 
     def test_healthy_query_not_degraded(self, study_dataset, arena):
         engine = CoordinatedBrushingEngine(study_dataset, use_index=True)

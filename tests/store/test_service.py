@@ -226,7 +226,7 @@ class TestSharedQueryEngine:
         stroke, window = _session_ops(1, arena)
         canvas = BrushCanvas()
         canvas.add(stroke)
-        plain = CoordinatedBrushingEngine(small_dataset)
+        plain = CoordinatedBrushingEngine(small_dataset, use_index=False)
         shared = SharedQueryEngine(small_dataset)
         np.testing.assert_array_equal(
             shared.query(canvas, "red", window=window).traj_mask,

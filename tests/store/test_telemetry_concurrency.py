@@ -42,7 +42,7 @@ def test_no_lost_increments_across_8_sessions(small_dataset):
 
     def work(session):
         try:
-            # one painted stroke per session → real (indexed) queries
+            # one painted stroke per session → real (aggregate) queries
             session.brush(
                 stroke_from_rect((-1.0, -0.6), (-0.7, 0.6), radius=0.12, color="red")
             )
