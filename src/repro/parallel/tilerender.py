@@ -19,18 +19,19 @@ Three transports stack on top of that, each removing a copy:
   the pickle-ship initializer with a ``shm-attach-failure`` event;
 * **shared framebuffer** (default on the pooled path) — the *output*
   payload drops to zero: the parent creates one
-  :class:`repro.store.SharedFrameBuffer` sized to the frame, workers
-  write their tile slots in place, and nothing but per-job timing rides
-  the result queue.  If the frame block cannot be created the render
+  :class:`repro.store.SharedFrameBuffer` sized to the frame, each job
+  clears and renders straight into its tile slot (no private tile
+  buffer, no copy), and nothing but per-job timing rides the result
+  queue.  If the frame block cannot be created the render
   degrades to ship-back with a ``framebuf-create-failure`` event —
   never a failed frame.
 
 Jobs are **batched per worker** (one submit per worker carrying its
 tile list) instead of dispatched per tile: a batch amortizes dispatch
-and lets the worker hoist the brush-footprint coverage cache across its
-whole tile list — the dominant per-tile cost on brushed frames is
-rasterizing the same (cell pixel grid, color) footprint over and over,
-and a batch pays it once.  Batch size is informed by the
+and lets the worker hoist the footprint cache (brush footprints and
+arena rims, see :data:`~repro.render.raster.FootprintCache`) across its
+whole tile list, so a batch pays each distinct footprint and rim once.
+Batch size is informed by the
 ``render.frame.stage_seconds{stage}`` / ``render.tile.seconds``
 telemetry: when per-tile history says a one-batch-per-worker deal would
 outlive the supervisor's attempt timeout, batches are split further so
@@ -162,16 +163,16 @@ def _init_worker_shm(handle: StoreHandle, arena: Arena, viewport: Viewport,
 def _render_batch(batch: TileBatch) -> list[_JobResult]:
     """Render one batch in a worker.
 
-    With a shared framebuffer attached, each job's pixels go straight
-    into its slot and only ``(col, row, eye, None, seconds)`` rides the
-    result queue; otherwise the pixels ship back.  The per-job seconds
-    let the parent split frame wall time into dispatch / render /
-    transport (worker processes cannot emit into the parent's
-    telemetry registry directly).
+    With a shared framebuffer attached, each job clears and draws
+    straight into its writable slot and only ``(col, row, eye, None,
+    seconds)`` rides the result queue; otherwise the pixels ship back.
+    The per-job seconds let the parent split frame wall time into
+    dispatch / render / transport (worker processes cannot emit into
+    the parent's telemetry registry directly).
 
-    The footprint cache is hoisted across the batch: coverage depends
-    only on (cell pixel grid, color) within one frame, so the batch
-    pays each footprint rasterization once instead of once per job.
+    The footprint cache is hoisted across the batch: footprints and
+    arena rims depend only on their exact pixel grids within one frame,
+    so the batch pays each one once instead of once per job.
     """
     renderer: WallRenderer = _WORKER_STATE["renderer"]
     fb_client = _WORKER_STATE.get("fb")
@@ -179,20 +180,18 @@ def _render_batch(batch: TileBatch) -> list[_JobResult]:
     out: list[_JobResult] = []
     for job in batch.jobs:
         t0 = time.perf_counter()
+        slot = None if fb_client is None else fb_client.slot(
+            job.tile.col, job.tile.row, int(job.eye), writable=True
+        )
         fb = renderer.render_job(
             job,
             canvas=_WORKER_STATE["canvas"],
             results=_WORKER_STATE["results"],
             footprint_cache=footprint_cache,
+            into=slot,
         )
-        payload: np.ndarray | None = fb.data
-        if fb_client is not None:
-            slot = fb_client.slot(
-                job.tile.col, job.tile.row, int(job.eye), writable=True
-            )
-            slot[...] = fb.data
-            del slot
-            payload = None
+        payload = fb.data if slot is None else None
+        del fb, slot  # drop the slot view so the mapping can close
         out.append(
             (job.tile.col, job.tile.row, int(job.eye), payload,
              time.perf_counter() - t0)
@@ -231,15 +230,24 @@ def _plan_batches(
 class ParallelRenderReport:
     """Frames plus timing and health of a parallel render pass.
 
-    ``stage_seconds`` splits ``elapsed_s`` for the pooled path:
-    ``dispatch`` (pool bring-up, initializer shipping, and shared-frame
-    creation), ``render`` (summed in-worker render time across all
-    jobs), ``shipback`` (result transport and queueing — everything in
-    the map wall not accounted to rendering; near zero on the
-    shared-framebuffer transport, where only timing tuples ride the
-    queue) and ``assemble`` (parent-side frame assembly: one slot copy
-    per tile, or adopting shipped arrays).  The serial path reports
-    only ``render``.
+    ``stage_seconds`` splits ``elapsed_s`` for the pooled path, so
+    that ``dispatch + render / workers + shipback + teardown +
+    assemble`` accounts for it:
+
+    * ``dispatch`` — everything before the map: batch planning,
+      shared-frame creation and the store attach probe.  No process
+      exists yet; the pool spawns lazily inside the map.
+    * ``render`` — in-worker render seconds summed over all jobs.
+    * ``shipback`` — the map's wall time not spent rendering (the
+      render sum spread evenly over the workers): worker fork and
+      initializer (store attach, renderer rebuild), batch pickling,
+      result transport and queueing, and any load imbalance.
+    * ``teardown`` — pool shutdown (joining the workers) and the
+      release of the shared frame block.
+    * ``assemble`` — parent-side frame assembly: one slot copy per
+      tile, or adopting shipped arrays.
+
+    The serial path reports only ``render``.
     """
 
     frames: dict[Eye, dict[tuple[int, int], Framebuffer]]
@@ -400,6 +408,7 @@ def render_viewport_parallel(
                     fb_handle,
                 )
 
+        teardown_s = 0.0
         try:
             with SupervisedPool(
                 max_workers,
@@ -414,7 +423,9 @@ def render_viewport_parallel(
                 outputs = pool.map(
                     _render_batch, batches, serial_fn=_render_batch_local
                 )
-                map_s = time.perf_counter() - t_map
+                t_shutdown = time.perf_counter()
+                map_s = t_shutdown - t_map
+            teardown_s += time.perf_counter() - t_shutdown
             # assembly runs strictly after the map: every slot has been
             # fully (re)written by exactly one surviving attempt, so a
             # plain copy-out per tile cannot observe a torn write
@@ -430,18 +441,21 @@ def render_viewport_parallel(
                     frames[Eye(eye_val)][(col, row)] = Framebuffer.from_array(data)
             assemble_s = time.perf_counter() - t_assemble
         finally:
+            t_release = time.perf_counter()
             if frame_store is not None:
                 frame_store.unlink()
                 frame_store.close()
+            teardown_s += time.perf_counter() - t_release
         workers = max_workers
         # everything in the map wall not spent rendering (even spread
-        # perfectly across workers) is transport: batch pickling and
-        # result queues — near zero when only timing tuples ship back
+        # perfectly across workers): worker spawn and initializer, batch
+        # pickling, result queues and load imbalance
         shipback_s = max(map_s - render_s / max_workers, 0.0)
         stage_seconds = {
             "dispatch": dispatch_s,
             "render": render_s,
             "shipback": shipback_s,
+            "teardown": teardown_s,
             "assemble": assemble_s,
         }
         obs.counter_add("render.batches", n_batches, workers=workers)

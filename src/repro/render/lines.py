@@ -10,6 +10,9 @@ each sample.  Every (tap, corner, point) contribution of a polyline
 goes through one ``np.bincount`` per accumulator, in the order a
 per-tap, per-corner scatter loop would add them, so the sums are the
 loop's sums bit for bit (the loop itself is kept as a test oracle).
+The bins span only the *window* the stamped points can reach, not the
+whole canvas, and the splat returns that window so callers can confine
+their own per-pixel passes to it.
 
 This trades exact analytic anti-aliasing for an approximation that is
 visually equivalent at sub-pixel step sizes, and it turns the frame
@@ -18,9 +21,14 @@ into a handful of NumPy passes regardless of trajectory count.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["resample_segments", "splat_points", "splat_polylines", "disc_kernel"]
+
+#: A pixel window ``(x0, y0, x1, y1)``: columns ``[x0, x1)``, rows ``[y0, y1)``.
+Window = tuple[int, int, int, int]
 
 
 def resample_segments(
@@ -33,7 +41,8 @@ def resample_segments(
     values (linearly carried, constant per segment).
 
     Fully vectorized: per-segment sample counts come from the segment
-    lengths; samples are generated with a repeat/cumulative pattern.
+    lengths; samples are generated with a repeat/cumulative pattern,
+    one coordinate column at a time.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -45,32 +54,41 @@ def resample_segments(
     lengths = np.hypot(d[:, 0], d[:, 1])
     counts = np.maximum(1, np.ceil(lengths / step).astype(np.int64)) + 1
     total = int(counts.sum())
-    seg_of = np.repeat(np.arange(len(a)), counts)
     # within-segment sample rank: 0..counts[i]-1 via cumulative trick
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    rank = np.arange(total) - starts[seg_of]
-    t = rank / np.maximum(counts[seg_of] - 1, 1)
-    points = a[seg_of] + t[:, None] * d[seg_of]
-    vals = values[seg_of] if values is not None else None
+    rank = np.arange(total) - np.repeat(starts, counts)
+    t = rank / np.repeat(np.maximum(counts - 1, 1), counts)
+    points = np.empty((total, 2))
+    for k in range(2):
+        # a + t * d, per sample of its segment
+        np.multiply(t, np.repeat(d[:, k], counts), out=points[:, k])
+        points[:, k] += np.repeat(a[:, k], counts)
+    vals = np.repeat(values, counts) if values is not None else None
     return points, vals
 
 
+@lru_cache(maxsize=16)
 def disc_kernel(width: float) -> tuple[np.ndarray, np.ndarray]:
     """Offsets and weights of a disc stamp for line width ``width`` px.
 
     Width <= 1 collapses to a single center tap.  Weights fall off
-    linearly at the rim for soft edges.
+    linearly at the rim for soft edges.  Memoized per width (a frame
+    uses two): the arrays are shared between calls and read-only.
     """
     if width <= 1.0:
-        return np.zeros((1, 2)), np.ones(1)
-    r = width / 2.0
-    n = int(np.ceil(r))
-    ys, xs = np.mgrid[-n : n + 1, -n : n + 1]
-    d = np.hypot(xs, ys)
-    weights_full = np.clip(r + 0.5 - d, 0.0, 1.0)
-    keep = weights_full > 0.0
-    offsets = np.stack([xs[keep], ys[keep]], axis=1).astype(np.float64)
-    return offsets, weights_full[keep]
+        offsets, weights = np.zeros((1, 2)), np.ones(1)
+    else:
+        r = width / 2.0
+        n = int(np.ceil(r))
+        ys, xs = np.mgrid[-n : n + 1, -n : n + 1]
+        d = np.hypot(xs, ys)
+        weights_full = np.clip(r + 0.5 - d, 0.0, 1.0)
+        keep = weights_full > 0.0
+        offsets = np.stack([xs[keep], ys[keep]], axis=1).astype(np.float64)
+        weights = weights_full[keep]
+    offsets.flags.writeable = False
+    weights.flags.writeable = False
+    return offsets, weights
 
 
 def splat_points(
@@ -81,7 +99,7 @@ def splat_points(
     offsets: np.ndarray | None = None,
     rgb_accum: np.ndarray | None = None,
     colors: np.ndarray | None = None,
-) -> None:
+) -> Window | None:
     """Accumulate a stamped point cloud into a coverage map.
 
     Every point is stamped at each of the (T, 2) ``offsets`` taps (a
@@ -96,6 +114,10 @@ def splat_points(
     contributions are summed first and then added to ``coverage``, so
     accumulators that start at zero (as the renderer's do) receive
     exactly the loop's sums.
+
+    The bins cover only the window the corners can reach — from the
+    smallest corner origin to two past the largest, per axis, clipped
+    to the canvas — so the cost follows the content, not the canvas.
 
     Parameters
     ----------
@@ -112,11 +134,18 @@ def splat_points(
         Optional (H, W, 3) color accumulator and (P, 3) per-point
         colors; enables per-pixel color averaging
         (``rgb = rgb_accum / coverage``) for gradient-colored lines.
+
+    Returns
+    -------
+    The window ``(x0, y0, x1, y1)`` that holds every pixel the call
+    added to, or None when no corner can reach the canvas (the
+    accumulators are then untouched).  Pixels outside the window are
+    never written.
     """
     h, w = coverage.shape
     points = np.asarray(points, dtype=np.float64)
     if len(points) == 0:
-        return
+        return None
     # (T, P) stamped coordinates, one row per tap; fresh arrays, as the
     # fractions are computed in place
     if offsets is None:
@@ -132,18 +161,27 @@ def splat_points(
     gy = np.floor(y)
     x0 = gx.astype(np.int64)
     y0 = gy.astype(np.int64)
+    # corners reach [min origin, max origin + 1]; keep the on-canvas part
+    wx0, wx1 = max(int(x0.min()), 0), min(int(x0.max()) + 2, w)
+    wy0, wy1 = max(int(y0.min()), 0), min(int(y0.max()) + 2, h)
+    if wx1 <= wx0 or wy1 <= wy0:
+        return None
+    ww, wh = wx1 - wx0, wy1 - wy0
     fx = np.subtract(x, gx, out=x)
     fy = np.subtract(y, gy, out=y)
     gx = np.subtract(1, fx, out=gx)
     gy = np.subtract(1, fy, out=gy)
-    # Scatter into a grid padded by two pixels per side: clamping the
-    # corner origin to [-2, size] leaves every on-canvas corner where it
-    # is and parks every off-canvas one in the padding, which is cut off.
-    pw = w + 4
-    base = np.clip(y0, -2, h, out=y0)
+    # Scatter into the window padded by two pixels per side: clamping
+    # the window-relative corner origin to [-2, size] leaves every
+    # in-window corner where it is and parks every other one in the
+    # padding, which is cut off.
+    pw = ww + 4
+    x0 -= wx0
+    y0 -= wy0
+    base = np.clip(y0, -2, wh, out=y0)
     base += 2
     base *= pw
-    base += np.clip(x0, -2, w, out=x0)
+    base += np.clip(x0, -2, ww, out=x0)
     base += 2
     contrib = np.empty((len(x), 4, x.shape[1]))
     flat = np.empty(contrib.shape, dtype=np.int64)
@@ -157,15 +195,18 @@ def splat_points(
     flat = flat.ravel()
 
     def scatter(values: np.ndarray) -> np.ndarray:
-        grid = np.bincount(flat, values.ravel(), minlength=(h + 4) * pw)
-        return grid.reshape(h + 4, pw)[2 : h + 2, 2 : w + 2]
+        grid = np.bincount(flat, values.ravel(), minlength=(wh + 4) * pw)
+        return grid.reshape(wh + 4, pw)[2 : wh + 2, 2 : ww + 2]
 
-    coverage += scatter(contrib)
+    window = np.s_[wy0:wy1, wx0:wx1]
+    coverage[window] += scatter(contrib)
     if rgb_accum is not None and colors is not None:
         colors = np.asarray(colors, dtype=np.float64)
         channel = np.empty_like(contrib)
+        rgb = rgb_accum[window]
         for c in range(3):
-            rgb_accum[..., c] += scatter(np.multiply(contrib, colors[:, c], out=channel))
+            rgb[..., c] += scatter(np.multiply(contrib, colors[:, c], out=channel))
+    return wx0, wy0, wx1, wy1
 
 
 def splat_polylines(
@@ -178,7 +219,7 @@ def splat_polylines(
     seg_values: np.ndarray | None = None,
     rgb_accum: np.ndarray | None = None,
     value_to_rgb=None,
-) -> None:
+) -> Window | None:
     """Splat segments a[i]->b[i] (pixel space) into ``coverage``.
 
     ``seg_values`` + ``value_to_rgb`` enable per-segment color ramps
@@ -188,11 +229,12 @@ def splat_polylines(
     The per-sample weight is normalized by the samples-per-pixel
     density (step) and kernel mass so accumulated coverage saturates
     near 1.0 on the line body independent of ``step`` and ``width``.
-    The whole disc stamp goes through one :func:`splat_points` pass.
+    The whole disc stamp goes through one :func:`splat_points` pass,
+    whose window (or None) is returned.
     """
     points, vals = resample_segments(a, b, step, seg_values)
     if len(points) == 0:
-        return
+        return None
     offsets, kweights = disc_kernel(width)
     # normalize: one pixel of line body receives ~ (1/step) samples,
     # each stamping kernel mass sum(kweights)
@@ -200,7 +242,7 @@ def splat_polylines(
     colors = None
     if vals is not None and value_to_rgb is not None and rgb_accum is not None:
         colors = np.asarray(value_to_rgb(vals), dtype=np.float64)
-    splat_points(
+    return splat_points(
         coverage,
         points,
         weights=(kweights * norm)[:, None],

@@ -23,7 +23,7 @@ from repro.display.coords import CoordinateMapper
 from repro.display.tile import Tile
 from repro.display.viewport import Viewport
 from repro.layout.cells import CellAssignment
-from repro.render.framebuffer import Framebuffer
+from repro.render.framebuffer import Framebuffer, Sprite
 from repro.render.raster import CellRenderer, CellStyle, FootprintCache
 from repro.stereo.camera import Eye
 from repro.stereo.projection import SpaceTimeProjection
@@ -123,25 +123,47 @@ class WallRenderer:
         canvas: BrushCanvas | None = None,
         results: dict[str, QueryResult] | None = None,
         footprint_cache: FootprintCache | None = None,
+        into: np.ndarray | None = None,
     ) -> Framebuffer:
-        """Rasterize one tile/eye job into a fresh framebuffer.
+        """Rasterize one tile/eye job into a framebuffer.
 
-        Within a tile, every cell draws the brush footprint of the
-        first cell of its pixel size (sub-pixel offsets between cells
-        are ignored).  ``footprint_cache`` may be shared across the jobs
-        of one frame: it holds those first-cell maps keyed by the exact
-        arena grid of the cell they were computed for and the color, so
-        a job served from the cache draws the bytes it would have
-        computed itself, and a frame pays each distinct map once.  The
-        stroke set of a color is constant within a frame; never reuse
-        a cache across canvas changes.
+        The framebuffer is fresh, or with ``into`` it adopts that
+        (H, W, 3) C-contiguous float32 array — a pooled job's writable
+        shared-framebuffer slot — clears it and draws in place, so the
+        pixels need no copy afterwards.
+
+        Within a tile, every cell draws the brush footprint sprite of
+        the first cell of its pixel size (sub-pixel offsets between
+        cells are ignored; a cell whose sprite would overhang the tile
+        draws it cropped).  ``footprint_cache``
+        (:data:`~repro.render.raster.FootprintCache`) may be shared
+        across the jobs of one frame or batch: it holds those
+        first-cell footprints and the arena-rim sprites, each keyed by
+        the exact inputs it was computed from, so a job served from the
+        cache draws the bytes it would have computed itself and a frame
+        pays each distinct footprint and rim once.  The stroke set of a
+        color is constant within a frame; never reuse a cache across
+        canvas changes.
         """
         tile = job.tile
-        fb = Framebuffer(tile.px_width, tile.px_height, self.style.background)
+        if into is None:
+            fb = Framebuffer(tile.px_width, tile.px_height, self.style.background)
+        else:
+            fb = Framebuffer.from_array(into)
+            if fb.data is not into or fb.data.shape != (tile.px_height, tile.px_width, 3):
+                raise ValueError(
+                    "into must be a C-contiguous float32 "
+                    f"({tile.px_height}, {tile.px_width}, 3) array"
+                )
+            fb.clear(self.style.background)
         renderer = CellRenderer(tile, self.projection, self.style)
         packed = self.dataset.packed() if results else None
-        # footprint per (cell pixel size, color) on this tile
-        tile_footprints: dict[tuple[int, int, str], np.ndarray] = {}
+        # footprint sprite per (cell pixel size, color) on this tile
+        tile_footprints: dict[tuple[int, int, str], Sprite] = {}
+        stamps = [] if canvas is None else [
+            (color_name, *canvas.stamps_of(color_name))
+            for color_name in canvas.colors()
+        ]
         labels = job.cell_labels or ("",) * len(job.cell_rects)
         for rect, traj_idx, color, label in zip(
             job.cell_rects, job.cell_traj, job.cell_colors, labels
@@ -149,7 +171,7 @@ class WallRenderer:
             rect_t = tuple(float(v) for v in rect)
             renderer.draw_background(fb, rect_t, tuple(color))
             mapper = CoordinateMapper(self.arena, rect_t)
-            renderer.draw_arena_rim(fb, mapper)
+            renderer.draw_arena_rim(fb, mapper, cache=footprint_cache)
             if label:
                 from repro.render.font import draw_text
 
@@ -162,20 +184,20 @@ class WallRenderer:
                 continue
             traj = self.dataset[int(traj_idx)]
             renderer.draw_trajectory(fb, traj, mapper, job.eye, rect_t)
-            if canvas is not None:
+            if stamps:
                 x0, y0, x1, y1 = renderer._cell_px_rect(rect_t)
-                for color_name in canvas.colors():
-                    centers, radii = canvas.stamps_of(color_name)
+                for color_name, centers, radii in stamps:
                     if not len(centers):
                         continue
                     key = (x1 - x0, y1 - y0, color_name)
-                    cov = renderer.draw_brush_footprint(
-                        fb, mapper, centers, radii, color_name, rect_t,
-                        precomputed=tile_footprints.get(key),
-                        cache=footprint_cache,
-                    )
-                    if cov is not None:
-                        tile_footprints.setdefault(key, cov)
+                    sprite = tile_footprints.get(key)
+                    if sprite is None:
+                        _, sprite = renderer.footprint_sprite(
+                            mapper, centers, radii, color_name, rect_t,
+                            cache=footprint_cache,
+                        )
+                        tile_footprints[key] = sprite
+                    renderer.draw_sprite(fb, sprite, rect_t)
             if results:
                 for color_name, res in results.items():
                     rows = packed.rows_of(int(traj_idx))

@@ -8,21 +8,26 @@ framebuffer.  All geometry arrives in wall meters and is converted to
 tile pixels through the owning :class:`~repro.display.tile.Tile`.
 
 Coverage accumulation happens in *cell-local* scratch buffers (the
-cell's pixel bounding box, not the whole tile), which keeps per-cell
-cost proportional to cell area — with 36x12 layouts a tile hosts dozens
-of cells and tile-sized temporaries would dominate the frame time.
+cell's pixel bounding box, not the whole tile), and every per-pixel
+pass after the splat — the mean-color map, the clamp, the cast and the
+composite — runs only over the window the splat reports its content
+landed in, so per-cell cost follows the pixels a line covers rather
+than the cell's area.  Brush footprints and arena rims are blended as
+:class:`~repro.render.framebuffer.Sprite` s held in the frame's one
+:data:`FootprintCache`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.display.coords import CoordinateMapper
 from repro.display.tile import Tile
 from repro.render.color import Color, named_color, time_gradient
-from repro.render.framebuffer import Framebuffer, composite
+from repro.render.framebuffer import Framebuffer, Sprite, composite, composite_sprite
 from repro.render.lines import splat_polylines
 from repro.stereo.camera import Eye
 from repro.stereo.projection import SpaceTimeProjection
@@ -30,10 +35,22 @@ from repro.trajectory.model import Trajectory
 
 __all__ = ["CellStyle", "CellRenderer", "FootprintCache"]
 
-#: Brush-footprint coverage maps keyed by the exact inputs they are a
-#: pure function of: (arena x of the pixel-centre columns, arena y of
-#: the rows, soft-edge width, brush color), the grids as raw bytes.
-FootprintCache = dict[tuple[bytes, bytes, float, str], np.ndarray]
+#: Side, in pixels, of the blocks the brush distance field is evaluated
+#: in (each over only the stamps near it).
+_FOOTPRINT_BLOCK = 32
+
+#: The one render cache of a frame (serial) or a worker's batch
+#: (pooled), keyed by the exact inputs each entry is a pure function of,
+#: arrays as raw bytes:
+#:
+#: * ``("footprint", arena x of the pixel-centre columns, arena y of the
+#:   rows, soft-edge width, brush color, brush alpha)`` -> the cell's
+#:   brush coverage map and the :class:`Sprite` it blends;
+#: * ``("rim", pixel columns - centre x, pixel rows - centre y, radius,
+#:   thickness, color)`` -> the arena rim's :class:`Sprite`.
+#:
+#: The stroke set of a color must be constant while a cache lives.
+FootprintCache = dict[tuple, Any]
 
 
 @dataclass(frozen=True)
@@ -96,13 +113,24 @@ class CellRenderer:
         color = self._dim(group_color) if group_color is not None else self.style.background
         fb.fill_rect(x0, y0, x1, y1, color)
 
-    def draw_arena_rim(self, fb: Framebuffer, mapper: CoordinateMapper) -> None:
-        """The arena outline — the visual reference for brushing."""
+    def draw_arena_rim(
+        self,
+        fb: Framebuffer,
+        mapper: CoordinateMapper,
+        *,
+        cache: FootprintCache | None = None,
+    ) -> None:
+        """The arena outline — the visual reference for brushing.
+
+        With ``cache``, cells whose rim sits at the same tile-local
+        pixel position (on any tile, for either eye) share one sprite.
+        """
         center_wall = mapper.arena_to_wall(np.zeros((1, 2)))[0]
         center_px = self.tile.wall_to_pixel(center_wall[None, :])[0]
         radius_px = mapper.scale * mapper.arena.radius * self.tile.pixels_per_meter[0]
         fb.draw_circle_outline(
-            center_px[0], center_px[1], radius_px, self.style.rim_color, thickness=1.0
+            center_px[0], center_px[1], radius_px, self.style.rim_color,
+            thickness=1.0, cache=cache,
         )
 
     def draw_trajectory(
@@ -128,7 +156,7 @@ class CellRenderer:
         ch, cw = y1 - y0, x1 - x0
         coverage = np.zeros((ch, cw), dtype=np.float64)
         rgb = np.zeros((ch, cw, 3), dtype=np.float64)
-        splat_polylines(
+        window = splat_polylines(
             coverage,
             a,
             b,
@@ -138,11 +166,18 @@ class CellRenderer:
             rgb_accum=rgb,
             value_to_rgb=time_gradient,
         )
-        hit = coverage > 1e-9
+        if window is None:
+            return
+        # outside the window coverage is exactly 0: nothing to blend
+        wx0, wy0, wx1, wy1 = window
+        coverage = coverage[wy0:wy1, wx0:wx1]
+        rgb = rgb[wy0:wy1, wx0:wx1]
         mean_rgb = np.zeros_like(rgb)
-        mean_rgb[hit] = rgb[hit] / coverage[hit][:, None]
+        np.divide(rgb, coverage[..., None], out=mean_rgb, where=coverage[..., None] > 1e-9)
         composite(
-            fb.data[y0:y1, x0:x1], np.minimum(coverage, 1.0), mean_rgb.astype(np.float32)
+            fb.data[y0 + wy0 : y0 + wy1, x0 + wx0 : x0 + wx1],
+            np.minimum(coverage, 1.0),
+            mean_rgb.astype(np.float32),
         )
 
     def draw_highlights(
@@ -172,11 +207,16 @@ class CellRenderer:
         a = px[:-1][seg_mask]
         b = px[1:][seg_mask]
         coverage = np.zeros((y1 - y0, x1 - x0), dtype=np.float64)
-        splat_polylines(
+        window = splat_polylines(
             coverage, a, b, width=self.style.highlight_width, step=self.style.step_px
         )
+        if window is None:
+            return
+        wx0, wy0, wx1, wy1 = window
         composite(
-            fb.data[y0:y1, x0:x1], np.minimum(coverage, 1.0), named_color(color_name)
+            fb.data[y0 + wy0 : y0 + wy1, x0 + wx0 : x0 + wx1],
+            np.minimum(coverage[wy0:wy1, wx0:wx1], 1.0),
+            named_color(color_name),
         )
 
     def _footprint_grid(
@@ -212,9 +252,10 @@ class CellRenderer:
         Computed as a signed distance field on the cell's pixel grid:
         for each pixel, the minimum of (distance-to-stamp - radius)
         over all stamps, converted to coverage with a one-pixel soft
-        edge.  The field is evaluated only over the pixels near the
-        stamps' bounding box (the rest is exactly 0), and stamps are
-        processed in chunks to bound the (pixels x stamps) temporary.
+        edge.  The field is evaluated in pixel blocks, each over only
+        the stamps near it (everywhere else it is exactly 0), and
+        stamps are processed in chunks to bound the (pixels x stamps)
+        temporary.
         """
         ax, ay, soft, rect = self._footprint_grid(mapper, cell_rect)
         return self._footprint(ax, ay, soft, centers_arena, radii_arena, stamp_chunk), rect
@@ -235,29 +276,86 @@ class CellRenderer:
         coverage = np.zeros((len(ay), len(ax)))
         if len(centers) == 0:
             return coverage
-        # A pixel more than one soft width outside the box of every
-        # stamp has signed distance > soft, so 0.5 - signed / soft clips
-        # to exactly 0: the field is evaluated only inside that box.
-        lo = (centers - radii[:, None] - soft).min(axis=0)
-        hi = (centers + radii[:, None] + soft).max(axis=0)
-        cols = np.flatnonzero((ax >= lo[0]) & (ax <= hi[0]))
-        rows = np.flatnonzero((ay >= lo[1]) & (ay <= hi[1]))
+        # A pixel more than one soft width outside the box of a stamp
+        # has signed distance > soft to it, so that stamp cannot bring
+        # 0.5 - signed / soft above 0: the field is evaluated block by
+        # block, each over only the stamps whose padded box meets it,
+        # and blocks no stamp meets stay exactly 0.  The minimum is
+        # exact, so leaving out stamps that cannot win changes no bit.
+        lo = centers - radii[:, None] - soft
+        hi = centers + radii[:, None] + soft
+        cols = np.flatnonzero((ax >= lo[:, 0].min()) & (ax <= hi[:, 0].max()))
+        rows = np.flatnonzero((ay >= lo[:, 1].min()) & (ay <= hi[:, 1].max()))
         if len(cols) == 0 or len(rows) == 0:
             return coverage
-        box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
-        gx, gy = np.meshgrid(ax[box[1]], ay[box[0]])
-        arena_pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        signed = np.full(len(arena_pts), np.inf)
-        for lo_j in range(0, len(centers), stamp_chunk):
-            c = centers[lo_j : lo_j + stamp_chunk]
-            r = radii[lo_j : lo_j + stamp_chunk]
-            d = np.sqrt(
-                (arena_pts[:, None, 0] - c[None, :, 0]) ** 2
-                + (arena_pts[:, None, 1] - c[None, :, 1]) ** 2
-            )
-            np.minimum(signed, (d - r[None, :]).min(axis=1), out=signed)
-        coverage[box] = np.clip(0.5 - signed / soft, 0.0, 1.0).reshape(gx.shape)
+        block = _FOOTPRINT_BLOCK
+        for r0 in range(rows[0], rows[-1] + 1, block):
+            by = ay[r0 : min(r0 + block, rows[-1] + 1)]
+            near_y = (hi[:, 1] >= by.min()) & (lo[:, 1] <= by.max())
+            if not near_y.any():
+                continue
+            for c0 in range(cols[0], cols[-1] + 1, block):
+                bx = ax[c0 : min(c0 + block, cols[-1] + 1)]
+                near = near_y & (hi[:, 0] >= bx.min()) & (lo[:, 0] <= bx.max())
+                if not near.any():
+                    continue
+                gx, gy = np.meshgrid(bx, by)
+                arena_pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+                signed = np.full(len(arena_pts), np.inf)
+                near_c = centers[near]
+                near_r = radii[near]
+                for lo_j in range(0, len(near_c), stamp_chunk):
+                    c = near_c[lo_j : lo_j + stamp_chunk]
+                    r = near_r[lo_j : lo_j + stamp_chunk]
+                    d = np.sqrt(
+                        (arena_pts[:, None, 0] - c[None, :, 0]) ** 2
+                        + (arena_pts[:, None, 1] - c[None, :, 1]) ** 2
+                    )
+                    np.minimum(signed, (d - r[None, :]).min(axis=1), out=signed)
+                coverage[r0 : r0 + len(by), c0 : c0 + len(bx)] = np.clip(
+                    0.5 - signed / soft, 0.0, 1.0
+                ).reshape(gx.shape)
         return coverage
+
+    def footprint_sprite(
+        self,
+        mapper: CoordinateMapper,
+        centers_arena: np.ndarray,
+        radii_arena: np.ndarray,
+        color_name: str,
+        cell_rect: tuple[float, float, float, float],
+        *,
+        cache: FootprintCache | None = None,
+    ) -> tuple[np.ndarray, Sprite]:
+        """The cell's brush coverage map and the sprite it blends
+        (coverage times the style's brush alpha, in the brush color).
+
+        Taken from ``cache`` when present: entries are keyed by the
+        exact arena coordinates of the cell's pixel grid, so a hit only
+        ever serves what would have been computed bit for bit the same.
+        """
+        ax, ay, soft, _ = self._footprint_grid(mapper, cell_rect)
+        alpha = self.style.brush_alpha
+        key = ("footprint", ax.tobytes(), ay.tobytes(), soft, color_name, alpha)
+        entry = None if cache is None else cache.get(key)
+        if entry is None:
+            coverage = self._footprint(ax, ay, soft, centers_arena, radii_arena)
+            entry = (coverage, Sprite.of(coverage * alpha, named_color(color_name)))
+            if cache is not None:
+                cache[key] = entry
+        return entry
+
+    def draw_sprite(
+        self,
+        fb: Framebuffer,
+        sprite: Sprite,
+        cell_rect: tuple[float, float, float, float],
+    ) -> None:
+        """Blend a sprite at the cell's pixel origin, cropped to the
+        framebuffer."""
+        x0, y0, _, _ = self._cell_px_rect(cell_rect)
+        sprite = sprite.crop(fb.height - y0, fb.width - x0)
+        composite_sprite(fb.data[y0:, x0:], sprite)
 
     def draw_brush_footprint(
         self,
@@ -274,38 +372,19 @@ class CellRenderer:
         """Translucent discs showing where the brush was painted.
 
         ``precomputed`` draws the coverage of another cell of the same
-        pixel size instead (see :meth:`WallRenderer.render_job
-        <repro.render.pipeline.WallRenderer.render_job>`).  Otherwise
-        the map is computed for this cell, or taken from ``cache``:
-        entries are keyed by the exact arena coordinates of the cell's
-        pixel grid, so a hit only ever serves a map that would have
-        been computed bit for bit the same.  Returns the coverage map.
+        pixel size instead, cropped to the framebuffer.  Otherwise the
+        map is computed for this cell, or taken from ``cache`` (see
+        :meth:`footprint_sprite`).  Returns the coverage map.
         """
         centers_arena = np.asarray(centers_arena, dtype=np.float64)
         if len(centers_arena) == 0:
             return None
         if precomputed is not None:
-            x0, y0, x1, y1 = self._cell_px_rect(cell_rect)
             coverage = precomputed
-            ch, cw = coverage.shape
-            x1, y1 = x0 + cw, y0 + ch
-            if x1 > self.tile.px_width or y1 > self.tile.px_height:
-                coverage = coverage[: self.tile.px_height - y0, : self.tile.px_width - x0]
-                y1 = min(y1, self.tile.px_height)
-                x1 = min(x1, self.tile.px_width)
+            sprite = Sprite.of(coverage * self.style.brush_alpha, named_color(color_name))
         else:
-            ax, ay, soft, (x0, y0, x1, y1) = self._footprint_grid(mapper, cell_rect)
-            key = (ax.tobytes(), ay.tobytes(), soft, color_name)
-            coverage = None if cache is None else cache.get(key)
-            if coverage is None:
-                coverage = self._footprint(ax, ay, soft, centers_arena, radii_arena)
-                if cache is not None:
-                    cache[key] = coverage
-        if coverage.size == 0:
-            return coverage
-        composite(
-            fb.data[y0:y1, x0:x1],
-            coverage * self.style.brush_alpha,
-            named_color(color_name),
-        )
+            coverage, sprite = self.footprint_sprite(
+                mapper, centers_arena, radii_arena, color_name, cell_rect, cache=cache
+            )
+        self.draw_sprite(fb, sprite, cell_rect)
         return coverage

@@ -168,7 +168,7 @@ def test_three_transports_bit_identical(
         assert sharedfb.shared_fb
         assert sharedfb.n_batches == min(workers, sharedfb.n_jobs)
         assert set(sharedfb.stage_seconds) == {
-            "dispatch", "render", "shipback", "assemble",
+            "dispatch", "render", "shipback", "teardown", "assemble",
         }
 
 
@@ -269,3 +269,61 @@ def test_golden_frame_pinned_across_transports(study_dataset):
     for name, report in runs.items():
         assert not report.degraded, (name, report.degradation.summary())
         assert _frame_digests(report) == GOLDEN_FRAME_SHA256, name
+
+
+def test_golden_frame_jobs_cache_invariant(study_dataset):
+    """Every job of the golden frame rendered through one shared
+    footprint cache (as a serial frame or a pooled batch renders it)
+    is byte-equal to the same job rendered alone with no cache — the
+    invariant the benchmark's per-frame check relies on."""
+    renderer, assignment, canvas, results = _golden_frame_inputs(study_dataset)
+    jobs = renderer.make_jobs(assignment)
+    shared: dict = {}
+    for job in jobs:
+        cached = renderer.render_job(
+            job, canvas=canvas, results=results, footprint_cache=shared
+        )
+        alone = renderer.render_job(job, canvas=canvas, results=results)
+        assert cached.data.tobytes() == alone.data.tobytes(), (
+            job.tile.col, job.tile.row, int(job.eye)
+        )
+    kinds = {key[0] for key in shared}
+    assert kinds == {"footprint", "rim"}
+
+
+def test_render_into_adopts_the_target(study_dataset):
+    """``render_job(into=...)`` draws in place into the given storage
+    (the pooled slot path) and matches a fresh render byte for byte."""
+    renderer, assignment, canvas, results = _golden_frame_inputs(study_dataset)
+    job = renderer.make_jobs(assignment)[0]
+    fresh = renderer.render_job(job, canvas=canvas, results=results)
+    target = np.zeros_like(fresh.data)
+    fb = renderer.render_job(job, canvas=canvas, results=results, into=target)
+    assert fb.data is target
+    assert target.tobytes() == fresh.data.tobytes()
+    with pytest.raises(ValueError):
+        renderer.render_job(job, canvas=canvas, results=results, into=target[:, :-1])
+    with pytest.raises(ValueError):
+        renderer.render_job(
+            job, canvas=canvas, results=results, into=target.astype(np.float64)
+        )
+
+
+@pytest.mark.parametrize("shared_fb", [True, False], ids=["sharedfb", "shipback"])
+def test_pooled_stage_seconds_account_for_elapsed(study_dataset, shared_fb):
+    """dispatch + render / workers + shipback + teardown + assemble is
+    the pooled frame's wall time: pool bring-up lands in shipback and
+    pool shutdown in teardown, so no stage hides outside the split."""
+    renderer, assignment, canvas, results = _golden_frame_inputs(study_dataset)
+    report = render_viewport_parallel(
+        renderer, assignment, canvas=canvas, results=results,
+        max_workers=2, shared_fb=shared_fb,
+    )
+    assert not report.degraded
+    s = report.stage_seconds
+    total = (
+        s["dispatch"] + s["render"] / report.workers + s["shipback"]
+        + s["teardown"] + s["assemble"]
+    )
+    assert s["teardown"] > 0.0
+    assert abs(total - report.elapsed_s) <= 0.05 * report.elapsed_s, (s, report.elapsed_s)
