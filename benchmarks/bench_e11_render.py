@@ -8,6 +8,8 @@ Reported: seconds per stereo frame, megapixels per second, and the
 parallel speedup.
 """
 
+import json
+
 import pytest
 
 from repro.core.brush import stroke_from_rect
@@ -38,7 +40,7 @@ def setup(full_dataset, viewport, arena):
     return renderer, assignment, canvas, results
 
 
-def test_e11_render_throughput(setup, viewport, report_sink, benchmark):
+def test_e11_render_throughput(setup, viewport, report_sink, provenance, benchmark):
     renderer, assignment, canvas, results = setup
     workers = min(4, default_workers())
 
@@ -62,6 +64,7 @@ def test_e11_render_throughput(setup, viewport, report_sink, benchmark):
         "E11",
         "wall render throughput (Fig. 3 frame substrate)",
         [
+            "provenance: " + json.dumps(provenance),
             f"frame: 432 cells, stereo, brush + highlights, "
             f"{viewport.px_width}x{viewport.px_height} px per eye",
             f"serial:   {serial.elapsed_s:6.2f} s "
@@ -71,8 +74,8 @@ def test_e11_render_throughput(setup, viewport, report_sink, benchmark):
             f"({stereo_mpx / parallel.elapsed_s:5.2f} Mpx/s)",
             f"speedup:  {speedup:.2f}x",
             "(tiles are share-nothing render units, as on the real",
-            " cluster-driven wall; worker startup + state shipping is the",
-            " overhead the initializer amortizes)",
+            " cluster-driven wall; with no store this pooled call runs a",
+            " one-call render service: worker startup is in its time)",
         ],
     )
 

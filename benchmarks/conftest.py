@@ -42,6 +42,39 @@ def viewport(wall):
 
 
 @pytest.fixture(scope="session")
+def provenance() -> dict:
+    """What a recorded number was measured with: the checkout's git sha
+    (``+dirty`` with uncommitted changes), CPU count, Python and numpy."""
+    import os
+    import platform
+    import subprocess
+
+    import numpy
+
+    root = Path(__file__).resolve().parent.parent
+    sha = "unknown"
+    try:
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True,
+            timeout=10,
+        )
+        dirty = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no", "--", "src"],
+            cwd=root, capture_output=True, text=True, timeout=10,
+        )
+        if head.returncode == 0:
+            sha = head.stdout.strip() + ("+dirty" if dirty.stdout.strip() else "")
+    except (OSError, subprocess.SubprocessError):
+        pass
+    return {
+        "git_sha": sha,
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+
+
+@pytest.fixture(scope="session")
 def report_sink():
     """Write an experiment table to benchmarks/out/ and stdout."""
     OUT_DIR.mkdir(exist_ok=True)

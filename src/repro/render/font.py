@@ -126,10 +126,12 @@ def draw_text(
     *,
     scale: int = 1,
     alpha: float = 1.0,
-) -> None:
+) -> tuple[int, int, int, int] | None:
     """Blit ``text`` with its top-left corner at pixel (x, y), clipped.
 
     ``alpha`` blends the glyph pixels over the existing content.
+    Returns the clipped pixel box ``(x0, y0, x1, y1)`` blended, or None
+    when the text falls outside the framebuffer.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
@@ -140,10 +142,11 @@ def draw_text(
     cx0, cy0 = max(0, x0), max(0, y0)
     cx1, cy1 = min(fb.width, x1), min(fb.height, y1)
     if cx1 <= cx0 or cy1 <= cy0:
-        return
+        return None
     sub = mask[cy0 - y0 : cy1 - y0, cx0 - x0 : cx1 - x0]
     region = fb.data[cy0:cy1, cx0:cx1]
     c = np.asarray(color, dtype=np.float32)
     blend = sub[..., None] * alpha
     region *= 1.0 - blend
     region += blend * c
+    return cx0, cy0, cx1, cy1

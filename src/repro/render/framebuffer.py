@@ -185,7 +185,7 @@ class Framebuffer:
         thickness: float = 1.0,
         *,
         cache: dict[Any, Any] | None = None,
-    ) -> None:
+    ) -> tuple[int, int, int, int] | None:
         """Anti-aliased circle outline (the arena rim in each cell).
 
         Coverage is computed over the circle's bounding box, falling
@@ -195,16 +195,19 @@ class Framebuffer:
         is keyed by the exact bytes of the box's pixel offsets from the
         centre, the radius, the thickness and the color, so a hit is
         the sprite this call would have computed.
+
+        Returns the clipped pixel box ``(x0, y0, x1, y1)`` the ring was
+        blended in, or None when nothing was drawn.
         """
         if radius <= 0:
-            return
+            return None
         pad = thickness + 1.5
         x0 = max(0, int(np.floor(cx - radius - pad)))
         x1 = min(self.width, int(np.ceil(cx + radius + pad)) + 1)
         y0 = max(0, int(np.floor(cy - radius - pad)))
         y1 = min(self.height, int(np.ceil(cy + radius + pad)) + 1)
         if x1 <= x0 or y1 <= y0:
-            return
+            return None
         dx = np.arange(x0, x1, dtype=np.float64) - cx
         dy = np.arange(y0, y1, dtype=np.float64) - cy
         key = (
@@ -218,6 +221,7 @@ class Framebuffer:
             if cache is not None:
                 cache[key] = sprite
         composite_sprite(self.data[y0:y1, x0:x1], sprite)
+        return x0, y0, x1, y1
 
     def to_uint8(self) -> np.ndarray:
         """uint8 copy for image output."""

@@ -28,7 +28,7 @@ from repro.display.coords import CoordinateMapper
 from repro.display.tile import Tile
 from repro.render.color import Color, named_color, time_gradient
 from repro.render.framebuffer import Framebuffer, Sprite, composite, composite_sprite
-from repro.render.lines import splat_polylines
+from repro.render.lines import Window, splat_polylines
 from repro.stereo.camera import Eye
 from repro.stereo.projection import SpaceTimeProjection
 from repro.trajectory.model import Trajectory
@@ -107,11 +107,13 @@ class CellRenderer:
         fb: Framebuffer,
         cell_rect: tuple[float, float, float, float],
         group_color: Color | None,
-    ) -> None:
-        """Fill the cell with its (dimmed) group color."""
+    ) -> Window | None:
+        """Fill the cell with its (dimmed) group color; returns the
+        filled pixel box (None when the cell covers no pixel)."""
         x0, y0, x1, y1 = self._cell_px_rect(cell_rect)
         color = self._dim(group_color) if group_color is not None else self.style.background
         fb.fill_rect(x0, y0, x1, y1, color)
+        return (x0, y0, x1, y1) if x1 > x0 and y1 > y0 else None
 
     def draw_arena_rim(
         self,
@@ -119,16 +121,17 @@ class CellRenderer:
         mapper: CoordinateMapper,
         *,
         cache: FootprintCache | None = None,
-    ) -> None:
+    ) -> Window | None:
         """The arena outline — the visual reference for brushing.
 
         With ``cache``, cells whose rim sits at the same tile-local
         pixel position (on any tile, for either eye) share one sprite.
+        Returns the pixel box the ring was blended in (or None).
         """
         center_wall = mapper.arena_to_wall(np.zeros((1, 2)))[0]
         center_px = self.tile.wall_to_pixel(center_wall[None, :])[0]
         radius_px = mapper.scale * mapper.arena.radius * self.tile.pixels_per_meter[0]
-        fb.draw_circle_outline(
+        return fb.draw_circle_outline(
             center_px[0], center_px[1], radius_px, self.style.rim_color,
             thickness=1.0, cache=cache,
         )
@@ -140,11 +143,12 @@ class CellRenderer:
         mapper: CoordinateMapper,
         eye: Eye,
         cell_rect: tuple[float, float, float, float],
-    ) -> None:
-        """Splat the per-eye projected space-time polyline, time-graded."""
+    ) -> Window | None:
+        """Splat the per-eye projected space-time polyline, time-graded;
+        returns the pixel box it was blended in (or None)."""
         x0, y0, x1, y1 = self._cell_px_rect(cell_rect, pad=self.style.overdraw_px)
         if x1 <= x0 or y1 <= y0:
-            return
+            return None
         projected_wall = self.projection.project(traj, mapper, eye)
         px = self.tile.wall_to_pixel(projected_wall)
         px -= (x0, y0)
@@ -167,7 +171,7 @@ class CellRenderer:
             value_to_rgb=time_gradient,
         )
         if window is None:
-            return
+            return None
         # outside the window coverage is exactly 0: nothing to blend
         wx0, wy0, wx1, wy1 = window
         coverage = coverage[wy0:wy1, wx0:wx1]
@@ -179,6 +183,7 @@ class CellRenderer:
             np.minimum(coverage, 1.0),
             mean_rgb.astype(np.float32),
         )
+        return x0 + wx0, y0 + wy0, x0 + wx1, y0 + wy1
 
     def draw_highlights(
         self,
@@ -189,18 +194,19 @@ class CellRenderer:
         seg_mask: np.ndarray,
         color_name: str,
         cell_rect: tuple[float, float, float, float],
-    ) -> None:
-        """Overlay the highlighted segments in the brush color."""
+    ) -> Window | None:
+        """Overlay the highlighted segments in the brush color; returns
+        the pixel box they were blended in (or None)."""
         seg_mask = np.asarray(seg_mask, dtype=bool)
         if seg_mask.shape != (traj.n_samples - 1,):
             raise ValueError(
                 f"seg_mask has {seg_mask.shape}, expected ({traj.n_samples - 1},)"
             )
         if not seg_mask.any():
-            return
+            return None
         x0, y0, x1, y1 = self._cell_px_rect(cell_rect, pad=self.style.overdraw_px)
         if x1 <= x0 or y1 <= y0:
-            return
+            return None
         projected_wall = self.projection.project(traj, mapper, eye)
         px = self.tile.wall_to_pixel(projected_wall)
         px -= (x0, y0)
@@ -211,13 +217,14 @@ class CellRenderer:
             coverage, a, b, width=self.style.highlight_width, step=self.style.step_px
         )
         if window is None:
-            return
+            return None
         wx0, wy0, wx1, wy1 = window
         composite(
             fb.data[y0 + wy0 : y0 + wy1, x0 + wx0 : x0 + wx1],
             np.minimum(coverage[wy0:wy1, wx0:wx1], 1.0),
             named_color(color_name),
         )
+        return x0 + wx0, y0 + wy0, x0 + wx1, y0 + wy1
 
     def _footprint_grid(
         self, mapper: CoordinateMapper, cell_rect: tuple[float, float, float, float]
@@ -350,12 +357,18 @@ class CellRenderer:
         fb: Framebuffer,
         sprite: Sprite,
         cell_rect: tuple[float, float, float, float],
-    ) -> None:
+    ) -> Window | None:
         """Blend a sprite at the cell's pixel origin, cropped to the
-        framebuffer."""
+        framebuffer; returns the box of the pixels blended (or None)."""
         x0, y0, _, _ = self._cell_px_rect(cell_rect)
         sprite = sprite.crop(fb.height - y0, fb.width - x0)
         composite_sprite(fb.data[y0:, x0:], sprite)
+        if len(sprite.rows) == 0:
+            return None
+        return (
+            x0 + int(sprite.cols.min()), y0 + int(sprite.rows.min()),
+            x0 + int(sprite.cols.max()) + 1, y0 + int(sprite.rows.max()) + 1,
+        )
 
     def draw_brush_footprint(
         self,

@@ -1,9 +1,12 @@
 """Supervised process-pool execution.
 
-:class:`SupervisedPool` is the drop-in hardened sibling of
-:class:`repro.parallel.pool.WorkerPool`: an ordered ``map`` over a
-:class:`~concurrent.futures.ProcessPoolExecutor` that treats partial
-failure as the normal case.  Per job it detects
+:class:`SupervisedPool` is the package's one process pool: an ordered
+``map`` over a :class:`~concurrent.futures.ProcessPoolExecutor` that
+treats partial failure as the normal case.  A pool may serve many
+``map`` calls — the render service of :mod:`repro.parallel.tilerender`
+keeps one for a whole session, and sets :attr:`~SupervisedPool.policy`,
+:attr:`~SupervisedPool.fault_plan` and :attr:`~SupervisedPool.report`
+per call.  Per job it detects
 
 * worker death (``BrokenProcessPool`` — e.g. an injected ``crash``
   fault calling ``os._exit``),
@@ -72,7 +75,8 @@ class SupervisedPool:
         benchmarks inject faults through this; production passes None).
     initializer / initargs:
         Per-worker setup, as for :class:`ProcessPoolExecutor` (re-run
-        whenever the pool is respawned).
+        whenever the pool is respawned).  Workers spawn lazily, at the
+        first pooled ``map``, and live until :meth:`close`.
     report:
         A :class:`DegradationReport` to accumulate into (a fresh one is
         created when omitted; read it back via :attr:`report`).
@@ -115,7 +119,17 @@ class SupervisedPool:
         return self
 
     def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the workers down, waiting for them (idempotent; a later
+        ``map`` spawns a fresh set)."""
         self._shutdown()
+
+    def worker_pids(self) -> tuple[int, ...]:
+        """PIDs of the live workers (empty before the first pooled map)."""
+        procs = getattr(self._executor, "_processes", None) or {}
+        return tuple(sorted(procs))
 
     def _spawn(self) -> ProcessPoolExecutor:
         import multiprocessing
@@ -174,6 +188,17 @@ class SupervisedPool:
         else:
             fallback.append(job)
 
+    def _submit(
+        self, fn: Callable[[T], R], items: Sequence[T], pending: list[tuple[int, int]]
+    ) -> list[tuple[int, int, Future]]:
+        assert self._executor is not None
+        return [
+            (job, attempt, self._executor.submit(
+                run_with_faults, fn, items[job], job, attempt, self.fault_plan
+            ))
+            for job, attempt in pending
+        ]
+
     def map(
         self,
         fn: Callable[[T], R],
@@ -212,12 +237,16 @@ class SupervisedPool:
             fallback: list[int] = []
             if self._executor is None:
                 self._spawn()
-            futures: list[tuple[int, int, Future]] = [
-                (job, attempt, self._executor.submit(
-                    run_with_faults, fn, items[job], job, attempt, self.fault_plan
-                ))
-                for job, attempt in pending
-            ]
+            try:
+                futures = self._submit(fn, items, pending)
+            except BrokenProcessPool as exc:
+                # a worker of a pool kept between maps died while idle
+                self._kill()
+                self.report.record(
+                    "crash", scope="pool", action="respawned", detail=repr(exc),
+                )
+                self._spawn()
+                futures = self._submit(fn, items, pending)
             broken = False
             for job, attempt, fut in futures:
                 try:

@@ -35,7 +35,7 @@ import struct
 import time
 import uuid
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -53,11 +53,23 @@ from repro.trajectory.model import Trajectory, TrajectoryMeta
 if TYPE_CHECKING:
     from repro.core.engine import CoordinatedBrushingEngine
 
-__all__ = ["ArraySpec", "StoreHandle", "SharedArenaStore", "StoreClient", "attach"]
+__all__ = [
+    "ArraySpec", "StoreHandle", "SharedArenaStore", "StoreClient", "attach", "on_unlink",
+]
 
 _MAGIC = b"RSTORE1\n"
 _HEADER = struct.Struct("<8s32sq16x")  # magic, uid hex, epoch, reserved
 _ALIGN = 16
+
+#: Called with a store's uid when its publisher unlinks it.
+_UNLINK_HOOKS: list[Callable[[str], None]] = []
+
+
+def on_unlink(hook: Callable[[str], None]) -> None:
+    """Call ``hook(uid)`` whenever a publisher unlinks a store: whatever
+    keeps attachments to a store beyond one call (the render services
+    of :mod:`repro.parallel.tilerender`) closes with it."""
+    _UNLINK_HOOKS.append(hook)
 
 
 @dataclass(frozen=True)
@@ -396,7 +408,11 @@ class SharedArenaStore:
 
     def unlink(self) -> None:
         """Remove the shared block's name; outstanding attachments keep
-        their mapping, new attaches fail with a stale-handle error."""
+        their mapping, new attaches fail with a stale-handle error.
+        The :func:`on_unlink` hooks run first, so what holds the store
+        open for longer than a call closes with it."""
+        for hook in _UNLINK_HOOKS:
+            hook(self.uid)
         self._block.unlink()
 
     def __enter__(self) -> "SharedArenaStore":

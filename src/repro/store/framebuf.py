@@ -7,9 +7,9 @@ frame is serialized (and deserialized) once more on top of being
 rendered.  This module gives the *output* plane the same treatment
 :mod:`repro.store.arena` gives the input data plane: one shared block
 sized to the whole frame, a small picklable :class:`FramebufferHandle`
-addressing each tile/eye slot, workers attach once per pool lifetime
-and write their slot pixels **in place**, and the parent assembles the
-frame from the very same pages — no result ship-back at all.
+addressing each tile/eye slot, workers attach once per block and write
+their slot pixels **in place**, and the caller reads the frame from the
+very same pages — no result ship-back and no copy-out at all.
 
 Write discipline (what makes torn tiles impossible):
 
@@ -24,17 +24,30 @@ Write discipline (what makes torn tiles impossible):
 * fresh slots are zero-filled (POSIX shared memory guarantee), which
   is *not* the renderer's background color — byte-parity with the
   serial frame therefore proves every slot pixel was actually written;
-* the creating process owns the block and unlinks it in a ``finally``
-  as soon as the frame is assembled; attach-side clients never unlink
-  (the same ownership rule as every block in :mod:`repro.store.shm`).
+  a reused block holds the previous frame, which every job overwrites
+  in full (a clear, or a copy of its retained base);
+* the creating process owns the block; attach-side clients never
+  unlink (the same ownership rule as every block in
+  :mod:`repro.store.shm`).
+
+Lifetime.  A block outlives frames: the render service of
+:mod:`repro.parallel.tilerender` keeps one for a session and reuses it
+frame after frame.  The frame a caller receives is a set of read-only
+:meth:`SharedFrameBuffer.view` s of the slots, not a copy, so the block
+counts the views it handed out (:attr:`SharedFrameBuffer.in_use`): it
+is rewritten only once none is alive, and a block that is
+:meth:`~SharedFrameBuffer.retire` d is unlinked at once but unmapped
+only when its last view dies — a frame a caller holds keeps its bytes.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
+import threading
 import time
 import uuid
+import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -63,6 +76,13 @@ _HEADER = struct.Struct("<8s32s24x")  # magic, uid hex, reserved → 64 B
 _DTYPE = "<f4"
 
 
+#: Retired blocks still pinned by handed-out views.  Only the views'
+#: weakref callbacks point back at such a block, so without this strong
+#: reference the collector could drop it, callbacks and all, and its
+#: mapping would never be released.
+_RETIRING: set["SharedFrameBuffer"] = set()
+
+
 def _slot_key(col: int, row: int, eye: int) -> str:
     """TOC key of the (tile column, tile row, eye) slot."""
     return f"{col}:{row}:{eye}"
@@ -72,17 +92,16 @@ def _slot_key(col: int, row: int, eye: int) -> str:
 class FramebufferHandle:
     """Small picklable address of a shared output framebuffer.
 
-    Shipping one of these through the pool initializer replaces
-    shipping rendered pixels back per job: the handle is a few hundred
-    bytes regardless of frame size, and each worker attaches exactly
-    once per pool lifetime.
+    Shipping one of these with each batch replaces shipping rendered
+    pixels back per job: the handle is a few hundred bytes regardless
+    of frame size, and each worker attaches once per block.
 
     Attributes
     ----------
     block:
         Shared-memory block name to attach.
     uid:
-        Unique id of this framebuffer build (fresh per frame render).
+        Unique id of this framebuffer build.
     slots:
         Array table-of-contents: one float32 ``(H, W, 3)`` entry per
         (tile, eye) render job, keyed ``"col:row:eye"``.
@@ -142,11 +161,65 @@ class SharedFrameBuffer(_SlotMapping):
     """The creating process's side of a shared output framebuffer.
 
     Build via :func:`create_framebuffer`; ship :attr:`handle` to pool
-    workers through the initializer; tear down with :meth:`unlink` +
-    :meth:`close` (or use as a context manager).  The creating process
+    workers; hand slots to callers with :meth:`view`; tear down with
+    :meth:`retire` (or :meth:`unlink` + :meth:`close`, or use as a
+    context manager).  The creating process
     owns the block: render workers attach via
     :func:`attach_framebuffer` and can never unlink it.
     """
+
+    def __init__(self, block: SharedBlock, handle: FramebufferHandle) -> None:
+        super().__init__(block, handle)
+        # re-entrant: a view can die (and its callback run) anywhere,
+        # including inside this lock's critical sections
+        self._views_lock = threading.RLock()
+        # id(weakref) -> weakref (a weakref to a memoryview is unhashable)
+        self._views: dict[int, weakref.ref] = {}
+        self._retired = False
+
+    def view(self, col: int, row: int, eye: int) -> np.ndarray:
+        """A read-only view of one slot for a caller to keep.
+
+        The block counts these views (and any view derived from one —
+        numpy views of a view share its buffer): :attr:`in_use` is True
+        while one is alive.
+        """
+        arr = self.slot(col, row, eye)
+        # np.frombuffer reads the block through a memoryview of its
+        # own, which every derived array keeps alive and which releases
+        # the mapping's buffer before its weakref callbacks run
+        anchor = arr
+        while isinstance(anchor, np.ndarray):
+            anchor = anchor.base
+        ref = weakref.ref(anchor, self._view_released)
+        with self._views_lock:
+            self._views[id(ref)] = ref
+        return arr
+
+    def _view_released(self, ref: weakref.ref) -> None:
+        with self._views_lock:
+            self._views.pop(id(ref), None)
+            close = self._retired and not self._views
+        if close:
+            self._block.close()
+            _RETIRING.discard(self)
+
+    @property
+    def in_use(self) -> bool:
+        """True while a view handed out by :meth:`view` is alive."""
+        return bool(self._views)
+
+    def retire(self) -> None:
+        """Unlink the block now and release this process's mapping as
+        soon as no handed-out view is alive (at once if none is)."""
+        with self._views_lock:
+            self._retired = True
+            idle = not self._views
+            if not idle:
+                _RETIRING.add(self)
+        self.unlink()
+        if idle:
+            self.close()
 
     def unlink(self) -> None:
         """Remove the block's name (creator only; idempotent)."""
@@ -171,8 +244,8 @@ class SharedFrameBuffer(_SlotMapping):
 class FrameBufferClient(_SlotMapping):
     """One worker's attachment to a shared output framebuffer.
 
-    Holds the mapping open for the worker's lifetime (the pool
-    initializer attaches once; every batch then writes through the same
+    Held open for as long as the parent keeps the block (a worker
+    attaches once and every later batch writes through the same
     pages).  Closing drops only this process's mapping — the parent's
     block and other workers are unaffected.
     """

@@ -67,9 +67,11 @@ class StaleHandleError(StoreAttachError):
 # process may hold several mappings of the *same* name (a publisher plus
 # in-process attach clients), so keying by name would let one mapping's
 # close() untrack another's.  Guarded by a lock because pools attach
-# from initializer threads.
+# from initializer threads; re-entrant because a mapping may be closed
+# from a weakref callback (a shared frame's last view dying), which can
+# run wherever garbage is collected.
 _LIVE: dict[int, "SharedBlock"] = {}
-_LIVE_LOCK = threading.Lock()
+_LIVE_LOCK = threading.RLock()
 _ATTACH_LOCK = threading.Lock()
 
 
@@ -235,7 +237,8 @@ def live_blocks() -> tuple[str, ...]:
     name repeats when a publisher and in-process attach clients map it
     simultaneously) — the leak-checking tests assert this empties out."""
     with _LIVE_LOCK:
-        return tuple(sorted(block.name for block in _LIVE.values()))
+        blocks = tuple(_LIVE.values())
+    return tuple(sorted(block.name for block in blocks))
 
 
 def _atexit_sweep() -> None:
@@ -243,7 +246,7 @@ def _atexit_sweep() -> None:
     and unlink blocks this process created, so no test run (or crashed
     session) leaks ``/dev/shm`` segments or resource-tracker warnings."""
     with _LIVE_LOCK:
-        leftovers = list(_LIVE.values())
+        leftovers = tuple(_LIVE.values())
     for block in leftovers:
         try:
             block.unlink()

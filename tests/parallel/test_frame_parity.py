@@ -2,7 +2,9 @@
 
 One frame, three transports — serial in-process, pooled with pickle
 ship-back, pooled with the shared output framebuffer — must agree to
-the byte on every (tile, eye) framebuffer.  Each spec seeds its own
+the byte on every (tile, eye) framebuffer.  Ship-back is the
+degradation rung a frame takes when its frame block cannot be created,
+so the harness reaches it by making that creation fail.  Each spec seeds its own
 layout, brush set, time window and eye selection, so the suite sweeps
 wall shapes (including degenerate 1-pixel tiles and chunky
 bezel-clipped mullions), brushed and unbrushed frames, and worker
@@ -16,6 +18,7 @@ worker (no blank or partially-written tiles).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -31,9 +34,11 @@ from repro.display.wall import DisplayWall
 from repro.layout.cells import assign_groups_to_cells, assign_sequential
 from repro.layout.grid import BezelAwareGrid
 from repro.layout.groups import TrajectoryGroups
+from repro.parallel import tilerender
 from repro.parallel.tilerender import render_viewport_parallel
 from repro.render.pipeline import WallRenderer
 from repro.stereo.camera import Eye
+from repro.store.shm import StoreAttachError
 from repro.synth.arena import Arena
 
 BOTH = (Eye.LEFT, Eye.RIGHT)
@@ -114,6 +119,22 @@ def _seeded_canvas(seed: int, n_strokes: int, arena: Arena) -> BrushCanvas | Non
     return canvas
 
 
+#: What forcing the ship-back rung leaves on a pooled report.
+SHIPBACK_RUNG = {"framebuf-create-failure": 1}
+
+
+def _refuse(slots):
+    raise StoreAttachError("injected: frame block refused")
+
+
+def _shipback(monkeypatch, renderer, assignment, **kw):
+    """A render whose frame block cannot be created: pooled, it ships
+    every tile's pixels back."""
+    with monkeypatch.context() as m:
+        m.setattr(tilerender, "create_framebuffer", _refuse)
+        return render_viewport_parallel(renderer, assignment, **kw)
+
+
 def _assert_frames_equal(a, b, eyes):
     for eye in eyes:
         assert set(a.frames[eye]) == set(b.frames[eye])
@@ -129,7 +150,7 @@ def _assert_frames_equal(a, b, eyes):
     ids=[s[0] for s in SPECS],
 )
 def test_three_transports_bit_identical(
-    study_dataset, name, seed, wall_kw, grid_shape, n_strokes,
+    study_dataset, monkeypatch, name, seed, wall_kw, grid_shape, n_strokes,
     window_frac, eyes, workers,
 ):
     arena = Arena()
@@ -153,16 +174,17 @@ def test_three_transports_bit_identical(
     serial = render_viewport_parallel(
         renderer, assignment, max_workers=0, **common
     )
-    shipback = render_viewport_parallel(
-        renderer, assignment, max_workers=workers, shared_fb=False, **common
+    shipback = _shipback(
+        monkeypatch, renderer, assignment, max_workers=workers, **common
     )
     sharedfb = render_viewport_parallel(
-        renderer, assignment, max_workers=workers, shared_fb=True, **common
+        renderer, assignment, max_workers=workers, **common
     )
 
     _assert_frames_equal(serial, shipback, eyes)
     _assert_frames_equal(serial, sharedfb, eyes)
-    assert not shipback.degraded and not sharedfb.degraded
+    assert shipback.degradation.by_kind() == (SHIPBACK_RUNG if workers > 1 else {})
+    assert not sharedfb.degraded
     if workers > 1:
         assert not shipback.shared_fb
         assert sharedfb.shared_fb
@@ -252,22 +274,25 @@ GOLDEN_FRAME_SHA256 = {
 }
 
 
-def test_golden_frame_pinned_across_transports(study_dataset):
+def test_golden_frame_pinned_across_transports(study_dataset, monkeypatch):
     renderer, assignment, canvas, results = _golden_frame_inputs(study_dataset)
     common = dict(canvas=canvas, results=results)
     runs = {
         "serial": render_viewport_parallel(
             renderer, assignment, max_workers=0, **common
         ),
-        "shipback": render_viewport_parallel(
-            renderer, assignment, max_workers=2, shared_fb=False, **common
+        "shipback": _shipback(
+            monkeypatch, renderer, assignment, max_workers=2, **common
         ),
         "sharedfb": render_viewport_parallel(
-            renderer, assignment, max_workers=2, shared_fb=True, **common
+            renderer, assignment, max_workers=2, **common
         ),
     }
     for name, report in runs.items():
-        assert not report.degraded, (name, report.degradation.summary())
+        expected = SHIPBACK_RUNG if name == "shipback" else {}
+        assert report.degradation.by_kind() == expected, (
+            name, report.degradation.summary()
+        )
         assert _frame_digests(report) == GOLDEN_FRAME_SHA256, name
 
 
@@ -310,16 +335,18 @@ def test_render_into_adopts_the_target(study_dataset):
 
 
 @pytest.mark.parametrize("shared_fb", [True, False], ids=["sharedfb", "shipback"])
-def test_pooled_stage_seconds_account_for_elapsed(study_dataset, shared_fb):
+def test_pooled_stage_seconds_account_for_elapsed(study_dataset, monkeypatch, shared_fb):
     """dispatch + render / workers + shipback + teardown + assemble is
     the pooled frame's wall time: pool bring-up lands in shipback and
     pool shutdown in teardown, so no stage hides outside the split."""
     renderer, assignment, canvas, results = _golden_frame_inputs(study_dataset)
-    report = render_viewport_parallel(
-        renderer, assignment, canvas=canvas, results=results,
-        max_workers=2, shared_fb=shared_fb,
+    render = render_viewport_parallel if shared_fb else functools.partial(
+        _shipback, monkeypatch
     )
-    assert not report.degraded
+    report = render(
+        renderer, assignment, canvas=canvas, results=results, max_workers=2,
+    )
+    assert report.degradation.by_kind() == ({} if shared_fb else SHIPBACK_RUNG)
     s = report.stage_seconds
     total = (
         s["dispatch"] + s["render"] / report.workers + s["shipback"]

@@ -7,9 +7,10 @@ Every scenario asserts the same two invariants:
   tile (slots start zero-filled, which is not the background color, so
   byte parity proves every pixel was rewritten by a surviving
   attempt);
-* the frame block is always unlinked — the ``finally`` teardown plus
-  the autouse leak fixture make a leaked ``/dev/shm`` segment a test
-  failure on every path, including the degraded ones.
+* the frame block is always unlinked once the report holding its
+  views is dropped — the service teardown plus the autouse leak
+  fixture make a leaked ``/dev/shm`` segment a test failure on every
+  path, including the degraded ones.
 """
 
 from __future__ import annotations
@@ -85,11 +86,12 @@ class TestSharedFrameBufferChaos:
         plan = FaultPlan(specs=(FaultSpec("crash", job=0, times=1),))
         report = render_viewport_parallel(
             renderer, assignment, canvas=canvas, max_workers=2,
-            fault_plan=plan, retry_policy=FAST, shared_fb=True,
+            fault_plan=plan, retry_policy=FAST,
         )
         assert report.shared_fb and report.degraded
         assert "injected-crash" in report.degradation.by_kind()
         _frames_equal(serial, report)
+        del report  # its frames are views that keep the block mapped
         _no_frame_blocks_left()
 
     def test_disavowed_write_is_overwritten(self, setup):
@@ -102,11 +104,12 @@ class TestSharedFrameBufferChaos:
         plan = FaultPlan(specs=(FaultSpec("corrupt", job=1, times=1),))
         report = render_viewport_parallel(
             renderer, assignment, canvas=canvas, max_workers=2,
-            fault_plan=plan, retry_policy=FAST, shared_fb=True,
+            fault_plan=plan, retry_policy=FAST,
         )
         assert report.shared_fb and report.degraded
         assert "injected-corrupt" in report.degradation.by_kind()
         _frames_equal(serial, report)
+        del report  # its frames are views that keep the block mapped
         _no_frame_blocks_left()
 
     def test_total_failure_completes_via_shipback_fallback(self, setup):
@@ -118,12 +121,13 @@ class TestSharedFrameBufferChaos:
         plan = FaultPlan(specs=(FaultSpec("error", p=1.0),))
         report = render_viewport_parallel(
             renderer, assignment, canvas=canvas, max_workers=2,
-            fault_plan=plan, retry_policy=FAST, shared_fb=True,
+            fault_plan=plan, retry_policy=FAST,
         )
         assert report.shared_fb
         assert report.degradation.n_fallbacks == report.n_batches == 2
         _frames_equal(serial, report)
         assert "assemble" in report.stage_seconds
+        del report  # its frames are views that keep the block mapped
         _no_frame_blocks_left()
 
     def test_framebuf_create_failure_degrades_to_shipback(self, setup, monkeypatch):
@@ -138,12 +142,13 @@ class TestSharedFrameBufferChaos:
         monkeypatch.setattr(tilerender, "create_framebuffer", refuse)
         report = render_viewport_parallel(
             renderer, assignment, canvas=canvas, max_workers=2,
-            retry_policy=FAST, shared_fb=True,
+            retry_policy=FAST,
         )
         assert not report.shared_fb
         assert report.degradation.by_kind() == {"framebuf-create-failure": 1}
         assert report.degradation.by_action() == {"shipback-fallback": 1}
         _frames_equal(serial, report)
+        del report  # its frames are views that keep the block mapped
         _no_frame_blocks_left()
 
     def test_crash_with_store_transport(self, setup, study_dataset):
@@ -161,4 +166,5 @@ class TestSharedFrameBufferChaos:
             )
             assert report.shared_fb and report.degraded
             _frames_equal(serial, report)
+        del report  # its frames are views that keep the block mapped
         _no_frame_blocks_left()
